@@ -70,6 +70,7 @@ from .values import (
     profile_from_general,
     shapley_oracle,
     solidarity_oracle,
+    worth_weights,
 )
 
 __version__ = "0.1.0"

@@ -14,6 +14,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
+from operator import add, mul, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
 MIN_PLAYERS = 2
@@ -158,48 +160,81 @@ def unanimity(n: int, generators: "Coalition | int") -> Game:
     return Game(n, tuple(_ONE if m & bits == bits else _ZERO for m in coalitions(n)))
 
 
+def clear_denominators(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integers ``x`` and one common denominator ``d`` with ``values[k] == x[k] / d``.
+
+    ``d`` is the lcm of the denominators, so only distinct denominators
+    cost a division.
+    """
+    dens = {v.denominator for v in values}
+    den = lcm(*dens)
+    scale = {q: den // q for q in dens}
+    return [v.numerator * scale[v.denominator] for v in values], den
+
+
+def _as_fractions(values: Iterable[int], den: int) -> tuple[Fraction, ...]:
+    """The reduced fractions ``x / den``."""
+    return tuple(Fraction(x, den) if x else _ZERO for x in values)
+
+
+def integer_subset_transform(values: Sequence[Fraction], n: int, sign: int) -> tuple[list[int], int]:
+    """The fast subset transform of one rational per nonempty bitmask, on integers.
+
+    The values are scaled by the lcm ``d`` of their denominators, then, in
+    place and bit by bit, ``f[m] += sign * f[m without the bit]`` runs on
+    every mask holding the bit: O(2^n * n) integer operations. With
+    ``sign=-1`` this is the Möbius transform (worths to dividends), with
+    ``sign=+1`` the zeta transform (dividends to worths). Returns ``(f, d)``
+    where ``f[m] / d`` is the result for bitmask m and ``f[0] == 0``.
+    """
+    scaled, den = clear_denominators(values)
+    f = [0, *scaled]
+    op = sub if sign < 0 else add
+    size = 1 << n
+    for i in range(n):
+        step = 1 << i
+        span = step << 1
+        # Whichever slicing takes fewer Python-level steps: one strided
+        # slice per offset inside a block, or one contiguous slice per block.
+        if step * span <= size:
+            for j in range(step, span):
+                f[j::span] = map(op, f[j::span], f[j - step::span])
+        else:
+            for lo in range(0, size, span):
+                hi = lo + step
+                f[hi:hi + step] = map(op, f[hi:hi + step], f[lo:hi])
+    return f, den
+
+
 def dividends(game: Game) -> DividendVector:
     """Invert the subset-sum relation between worths and unanimity coordinates.
 
-    Uses the in-place fast subset transform, O(2^n * n) exact operations.
+    Runs `integer_subset_transform` with ``sign=-1``: the worths are scaled
+    to integers by the lcm of their denominators, the fast subset transform
+    runs on those integers, and each dividend becomes a reduced `Fraction`
+    only at the end.
     """
-    n = game.n
-    f = [_ZERO, *game.worths]
-    for i in range(n):
-        bit = 1 << i
-        for mask in range(1 << n):
-            if mask & bit:
-                low = f[mask ^ bit]
-                if low:
-                    f[mask] = f[mask] - low
-    return DividendVector(n, tuple(f[1:]))
+    h, den = integer_subset_transform(game.worths, game.n, -1)
+    return DividendVector(game.n, _as_fractions(h[1:], den))
 
 
 def from_dividends(d: DividendVector) -> Game:
-    """Rebuild the worth vector: each coalition sums the dividends of its subsets."""
-    n = d.n
-    f = [_ZERO, *d.dividends]
-    for i in range(n):
-        bit = 1 << i
-        for mask in range(1 << n):
-            if mask & bit:
-                low = f[mask ^ bit]
-                if low:
-                    f[mask] = f[mask] + low
-    return Game(n, tuple(f[1:]))
+    """Rebuild the worth vector: each coalition sums the dividends of its subsets.
+
+    Runs the same `integer_subset_transform` as `dividends`, with
+    ``sign=+1``.
+    """
+    f, den = integer_subset_transform(d.dividends, d.n, +1)
+    return Game(d.n, _as_fractions(f[1:], den))
 
 
 def harsanyi_inner(g: Game, h: Game) -> Fraction:
     """Dot product of dividend coordinates; unanimity games are orthonormal in it."""
     if g.n != h.n:
         raise ValueError(f"player counts differ: {g.n} vs {h.n}")
-    dg = dividends(g).dividends
-    dh = dividends(h).dividends
-    total = _ZERO
-    for a, b in zip(dg, dh):
-        if a and b:
-            total += a * b
-    return total
+    dg, den_g = integer_subset_transform(g.worths, g.n, -1)
+    dh, den_h = integer_subset_transform(h.worths, h.n, -1)
+    return Fraction(sum(map(mul, dg, dh)), den_g * den_h)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ import json
 from fractions import Fraction
 from typing import Any
 
-from .games import Coalition, Game
+from .games import MAX_PLAYERS, MIN_PLAYERS, Coalition, Game
 
 
 class GameInputError(ValueError):
@@ -68,12 +68,9 @@ def game_from_json(text: str) -> Game:
     entries = data.get("coalitions", [])
     if not isinstance(entries, list):
         raise GameInputError("field 'coalitions' must be a list")
-    try:
-        worths = [Fraction(0)] * ((1 << n) - 1)
-    except (ValueError, OverflowError) as exc:
-        raise GameInputError(f"unsupported player count {n}") from exc
-    if not 2 <= n <= 30:
-        raise GameInputError(f"player count must be in [2, 30], got {n}")
+    if not MIN_PLAYERS <= n <= MAX_PLAYERS:
+        raise GameInputError(f"player count must be in [{MIN_PLAYERS}, {MAX_PLAYERS}], got {n}")
+    worths = [Fraction(0)] * ((1 << n) - 1)
     seen: set[int] = set()
     for k, entry in enumerate(entries):
         if not isinstance(entry, dict):

@@ -8,6 +8,14 @@ the Shapley value, equal division, the Banzhaf value, equal surplus
 division, and the solidarity value, together with the one-parameter family
 interpolating Shapley and equal division.
 
+`evaluate` does not decompose the game into dividends. By linearity, a
+symmetric map pays each player a weighted sum of worths whose weight depends
+only on the coalition size and on whether the player belongs to it;
+`worth_weights` derives those per-size weights from ``alpha`` and ``beta``,
+and the sum over worths runs on integers after one lcm scaling.
+`GeneralLinearValueMap.apply` has no such symmetry and goes through the
+integer dividends of `games.integer_subset_transform`.
+
 The oracles at the bottom recompute the same solutions straight from their
 definition sums (permutations, subsets, within-coalition averages) so the
 closed forms can be checked against an independent path.
@@ -18,11 +26,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
+from operator import add, mul
 from typing import Callable, Sequence
 
 from .combinatorics import solidarity_stratum_epsilon
-from .games import Coalition, Game, coalitions, dividends
+from .games import Coalition, Game, clear_denominators, coalitions, integer_subset_transform
 
 PayoffVector = tuple[Fraction, ...]
 
@@ -193,23 +202,67 @@ def profile_for_token(token: str, n: int) -> SymmetricValueProfile:
     raise ValueError(f"unknown value token {token!r}")
 
 
+def worth_weights(profile: SymmetricValueProfile) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """Per-size coefficients of the value map on worths, ``(w_in, w_out)``.
+
+    Player i receives ``sum over S of v(S) * w`` with ``w = w_in[|S|-1]``
+    when i is in S and ``w_out[|S|-1]`` when not. Expanding each dividend
+    as an alternating sum of worths gives, for size s = |S| (stored at
+    index s-1),
+
+        w_in[s]  = sum_{t>=s} (-1)^(t-s) C(n-s, t-s) alpha_t
+        w_out[s] = sum_{t>=s} (-1)^(t-s) [C(n-s-1, t-s-1) alpha_t + C(n-s-1, t-s) beta_t]
+
+    ``w_in`` has n entries and ``w_out`` n-1 (no coalition of size n has an
+    outsider), matching ``alpha`` and ``beta``. O(n^2) operations.
+    """
+    n = profile.n
+    alpha, beta = profile.alpha, profile.beta
+    w_in = tuple(
+        sum((-1) ** (t - s) * comb(n - s, t - s) * alpha[t - 1] for t in range(s, n + 1))
+        for s in range(1, n + 1)
+    )
+    w_out = tuple(
+        sum((-1) ** (t - s) * comb(n - s - 1, t - s - 1) * alpha[t - 1] for t in range(s + 1, n + 1))
+        + sum((-1) ** (t - s) * comb(n - s - 1, t - s) * beta[t - 1] for t in range(s, n))
+        for s in range(1, n)
+    )
+    return w_in, w_out
+
+
 def evaluate(profile: SymmetricValueProfile, game: Game) -> PayoffVector:
-    """Apply the value map to a game through its dividend decomposition."""
+    """Apply the value map to a game through its per-size worth weights.
+
+    Player i receives ``base + sum over S containing i of v(S) * diff[|S|]``
+    with ``base = sum over all S of v(S) * w_out[|S|]`` and ``diff = w_in -
+    w_out`` (see `worth_weights`). Worths and weights are each scaled to
+    integers by one lcm, so the pass over the 2^n - 1 worths is integer
+    arithmetic and only the n payoffs become `Fraction`s; no dividend is
+    computed.
+    """
     if profile.n != game.n:
         raise ValueError(f"player counts differ: {profile.n} vs {game.n}")
     n = game.n
-    divs = dividends(game).dividends
-    payoff = [_ZERO] * n
-    for mask in range(1, 1 << n):
-        h = divs[mask - 1]
-        if not h:
-            continue
-        a = mask.bit_count()
-        al = h * profile.alpha[a - 1]
-        be = h * profile.beta[a - 1] if a < n else _ZERO
-        for i in range(n):
-            payoff[i] += al if mask >> i & 1 else be
-    return tuple(payoff)
+    w_in, w_out = worth_weights(profile)
+    w_out = (*w_out, _ZERO)  # the grand coalition has no outsiders
+    diff = (a - b for a, b in zip(w_in, w_out))
+    weights, weight_den = clear_denominators((_ZERO, *w_out, _ZERO, *diff))
+    base_w, diff_w = weights[:n + 1], weights[n + 1:]
+    worths, worth_den = clear_denominators(game.worths)
+    worths.insert(0, 0)
+    sizes = [m.bit_count() for m in range(1 << n)]
+    base = sum(map(mul, worths, map(base_w.__getitem__, sizes)))
+    # Halve the mask range one top bit at a time: the upper half is every
+    # coalition holding that player; folding it onto the lower half keeps
+    # the sums for the remaining players.
+    f = list(map(mul, worths, map(diff_w.__getitem__, sizes)))
+    member = [0] * n
+    for i in reversed(range(n)):
+        half = 1 << i
+        member[i] = sum(f[half:])
+        f = list(map(add, f[:half], f[half:]))
+    den = worth_den * weight_den
+    return tuple(Fraction(base + m, den) for m in member)
 
 
 @dataclass(frozen=True)
@@ -245,19 +298,21 @@ class GeneralLinearValueMap:
         return cls(n, tuple(tuple(Fraction(x) for x in image(m)) for m in coalitions(n)))
 
     def apply(self, game: Game) -> PayoffVector:
-        """Evaluate on an arbitrary game by expanding it in dividends."""
+        """Evaluate on an arbitrary game by expanding it in dividends.
+
+        The dividends come from the integer subset transform, and each
+        player's column of unanimity payoffs is scaled to integers by its
+        own lcm, so every payoff is one integer dot product over one
+        denominator.
+        """
         if self.n != game.n:
             raise ValueError(f"player counts differ: {self.n} vs {game.n}")
-        divs = dividends(game).dividends
-        payoff = [_ZERO] * self.n
-        for mask in range(1, 1 << self.n):
-            h = divs[mask - 1]
-            if not h:
-                continue
-            vec = self.actions[mask - 1]
-            for i in range(self.n):
-                if vec[i]:
-                    payoff[i] += h * vec[i]
+        divs, den = integer_subset_transform(game.worths, self.n, -1)
+        del divs[0]
+        payoff = []
+        for column in zip(*self.actions):
+            scaled, column_den = clear_denominators(column)
+            payoff.append(Fraction(sum(map(mul, divs, scaled)), den * column_den))
         return tuple(payoff)
 
     def _require_same_n(self, other: "GeneralLinearValueMap") -> None:

@@ -1,6 +1,14 @@
 import json
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
+import pytest
+
+import valuegeom
 from valuegeom.cli import main
 
 RATIONAL_KEYS = {"num", "den", "approx"}
@@ -226,3 +234,35 @@ def test_output_is_deterministic(capsys):
 def test_help_exits_zero(capsys):
     code, out, _ = run(capsys, ["--help"])
     assert code == 0
+
+
+@pytest.mark.parametrize("n", [31, 40, -1])
+def test_eval_player_count_out_of_range_is_input_error(tmp_path, capsys, n):
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps({"n": n, "coalitions": []}))
+    code, _, err = run(capsys, ["eval", "--value", "sh", "--game", str(path)])
+    assert code == 3
+    assert err.startswith("error: input:") and "Traceback" not in err
+
+
+def test_eval_is_identical_under_optimized_interpreter(tmp_path):
+    rng = random.Random(10)
+    n = 10
+    coalitions = [
+        {"players": [i for i in range(n) if m >> i & 1], "worth": f"{rng.randint(-9, 9)}/{rng.randint(1, 9)}"}
+        for m in range(1, 1 << n)
+    ]
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps({"n": n, "coalitions": coalitions}))
+    src = str(Path(valuegeom.__file__).resolve().parents[1])
+    for token in ("sh", "ed", "bz", "esd", "so", "f:2/7"):
+        outputs = []
+        for flags in (["-O"], []):
+            proc = subprocess.run(
+                [sys.executable, *flags, "-m", "valuegeom", "eval", "--value", token, "--game", str(path)],
+                capture_output=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.startswith(b"{")
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1], token

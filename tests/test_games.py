@@ -19,7 +19,7 @@ from valuegeom import (
     unanimity,
     unanimity_basis,
 )
-from util import dividends_by_inclusion_exclusion, random_game, rational
+from util import dividends_by_inclusion_exclusion, random_game, rational, wide_game
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=12)
 
@@ -216,3 +216,13 @@ def test_scaled_basis_is_not_orthonormal():
     basis = unanimity_basis(2)
     scaled = HOrthonormalBasis(2, (2 * basis.vectors[0],) + basis.vectors[1:], "scaled")
     assert not scaled.gram_is_identity()
+
+
+def test_wide_denominator_games_roundtrip_and_inner_product():
+    rng = random.Random(88)
+    for n in range(2, 7):
+        g, h = wide_game(rng, n), wide_game(rng, n)
+        assert from_dividends(dividends(g)) == g
+        dg = dividends_by_inclusion_exclusion(g).dividends
+        dh = dividends_by_inclusion_exclusion(h).dividends
+        assert harsanyi_inner(g, h) == sum(a * b for a, b in zip(dg, dh))

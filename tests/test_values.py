@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -18,8 +19,9 @@ from valuegeom import (
     shapley_oracle,
     solidarity_oracle,
     unanimity,
+    worth_weights,
 )
-from util import permute_game, random_game, rational
+from util import payoff_by_dividends, permute_game, random_game, random_profile, rational, wide_game
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=12)
 
@@ -274,3 +276,52 @@ def test_oracle_agreement_spot_checks():
         assert shapley_oracle(g5) == evaluate(named_profile("sh", 5), g5)
         assert banzhaf_oracle(g5) == evaluate(named_profile("bz", 5), g5)
         assert solidarity_oracle(g5) == evaluate(named_profile("so", 5), g5)
+
+
+def _symmetric_image(profile):
+    n = profile.n
+    alpha, beta = profile.alpha, (*profile.beta, F(0))
+
+    def image(mask):
+        a = mask.bit_count()
+        return tuple(alpha[a - 1] if mask >> i & 1 else beta[a - 1] for i in range(n))
+
+    return image
+
+
+def test_evaluate_matches_dividend_route_on_arbitrary_profiles():
+    rng = random.Random(2024)
+    for n in range(2, 8):
+        games = [
+            random_game(rng, n),
+            wide_game(rng, n),
+            Game(n, tuple(F(rng.randint(-50, 50)) for _ in range((1 << n) - 1))),
+            Game.zero(n),
+        ]
+        for game in games:
+            for _ in range(2):
+                profile = random_profile(rng, n)
+                assert not profile.is_efficient()
+                assert evaluate(profile, game) == payoff_by_dividends(game, _symmetric_image(profile))
+
+
+def test_worth_weights_are_the_textbook_coefficients():
+    for n in range(2, 13):
+        fact = factorial(n)
+        w_in, w_out = worth_weights(named_profile("sh", n))
+        assert w_in == tuple(F(factorial(s - 1) * factorial(n - s), fact) for s in range(1, n + 1))
+        assert w_out == tuple(F(-factorial(s) * factorial(n - s - 1), fact) for s in range(1, n))
+        w_in, w_out = worth_weights(named_profile("bz", n))
+        assert w_in == (F(1, 2 ** (n - 1)),) * n
+        assert w_out == (F(-1, 2 ** (n - 1)),) * (n - 1)
+
+
+def test_general_map_apply_on_non_symmetric_maps():
+    rng = random.Random(61)
+    for n in range(2, 7):
+        vmap = GeneralLinearValueMap.from_unanimity_images(
+            n, lambda m: [F(rng.randint(-30, 30), rng.choice((1, 2, 3, 7, 11, 360, 10**9 + 7))) for _ in range(n)]
+        )
+        for game in (random_game(rng, n), wide_game(rng, n), Game.zero(n)):
+            expected = payoff_by_dividends(game, lambda m: vmap.actions[m - 1])
+            assert vmap.apply(game) == expected

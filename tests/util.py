@@ -13,6 +13,11 @@ def random_game(rng, n: int) -> Game:
     return Game(n, tuple(rational(rng) for _ in range((1 << n) - 1)))
 
 
+def wide_game(rng, n: int) -> Game:
+    """Every worth with numerator and denominator up to 10^12."""
+    return Game(n, tuple(Fraction(rng.randint(-10**12, 10**12), rng.randint(1, 10**12)) for _ in range((1 << n) - 1)))
+
+
 def random_profile(rng, n: int) -> SymmetricValueProfile:
     return SymmetricValueProfile(
         n,
@@ -53,3 +58,18 @@ def permute_game(game: Game, perm) -> Game:
                 pre |= 1 << i
         worths.append(game.worth(pre))
     return Game(n, tuple(worths))
+
+
+def payoff_by_dividends(game: Game, image) -> tuple:
+    """Dividend-route definition sum: sum over T of h(T) times the payoff on u_T.
+
+    ``image(mask)`` gives the payoff vector on the unanimity game of ``mask``;
+    ``h`` comes from `dividends_by_inclusion_exclusion`.
+    """
+    h = dividends_by_inclusion_exclusion(game).dividends
+    payoff = [Fraction(0)] * game.n
+    for mask in range(1, 1 << game.n):
+        vec = image(mask)
+        for i in range(game.n):
+            payoff[i] += h[mask - 1] * vec[i]
+    return tuple(payoff)
