@@ -15,11 +15,17 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from operator import add, mul, sub
+from operator import add, countOf, mul, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
 MIN_PLAYERS = 2
 MAX_PLAYERS = 30
+
+#: Largest decimal exponent, in absolute value, of a worth literal such as
+#: ``"1e300"``. Reading ``10**e`` exactly costs time superlinear in ``e``, so
+#: a larger exponent is refused before any digits are built; 4300 matches
+#: CPython's default limit on the digits of an int read from a string.
+MAX_WORTH_EXPONENT = 4300
 
 #: Largest player count for random basis generation; a basis has
 #: (2^n - 1)^2 rational coefficients, which grows fast.
@@ -36,6 +42,44 @@ _ONE = Fraction(1)
 def _check_player_count(n: int) -> None:
     if not MIN_PLAYERS <= n <= MAX_PLAYERS:
         raise ValueError(f"player count must be in [{MIN_PLAYERS}, {MAX_PLAYERS}], got {n}")
+
+
+#: For each valid player count n, the bit of each player index 0..n-1. Only
+#: ints that are keys here are valid players, so a lookup rejects negative and
+#: out-of-range indices in C.
+_PLAYER_BITS = {n: {i: 1 << i for i in range(n)} for n in range(MIN_PLAYERS, MAX_PLAYERS + 1)}
+
+
+def _coalition_bits(players: Sequence[int], n: int) -> int:
+    """The bitmask of distinct player indices in 0..n-1.
+
+    Raises ``ValueError`` naming the first player, in list order, that is
+    not an int in range (a bool is not a player index) or is listed twice.
+    Used by `Coalition.from_players` and, once per coalition entry, by the
+    game parser; private because the per-layer benchmark tracer wraps every
+    public function, and a wrapper per entry would cost more than the work.
+    """
+    # Fast path, all in C: exact ints that are all valid keys, and as many set
+    # bits as players, so none is repeated. Anything else takes the loop below,
+    # which finds the offending player for the message.
+    size = len(players)
+    try:
+        if countOf(map(type, players), int) == size:
+            bits = sum(map(_PLAYER_BITS[n].__getitem__, players))
+            if bits.bit_count() == size:
+                return bits
+    except KeyError:
+        pass
+    bits = 0
+    for p in players:
+        if isinstance(p, bool):
+            raise ValueError(f"player {p!r} is a boolean, not a player index")
+        if not isinstance(p, int) or not 0 <= p < n:
+            raise ValueError(f"player {p!r} out of range for n={n}")
+        if bits >> p & 1:
+            raise ValueError(f"player {p} listed twice")
+        bits |= 1 << p
+    return bits
 
 
 def coalitions(n: int) -> Iterator[int]:
@@ -57,14 +101,7 @@ class Coalition:
 
     @classmethod
     def from_players(cls, players: Iterable[int], n: int) -> "Coalition":
-        bits = 0
-        for p in players:
-            if not isinstance(p, int) or not 0 <= p < n:
-                raise ValueError(f"player {p!r} out of range for n={n}")
-            if bits >> p & 1:
-                raise ValueError(f"player {p} listed twice")
-            bits |= 1 << p
-        return cls(bits, n)
+        return cls(_coalition_bits(list(players), n), n)
 
     def size(self) -> int:
         return self.bits.bit_count()

@@ -1,12 +1,25 @@
-"""JSON encoding of exact rationals and the game input format."""
+"""JSON encoding of exact rationals and the game input format.
+
+`game_from_json` reads a game in one pass over the coalition entries. Each
+entry's player list becomes a validated bitmask (`games._coalition_bits`)
+without building a `Coalition`, and each distinct string worth literal is
+parsed once per document: a table local to the call, keyed by the literal
+string, hands the same immutable `Fraction` to every entry that repeats it.
+JSON numbers are read exactly from their decimal text as the JSON parser
+meets them.
+"""
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Any
 
-from .games import MAX_PLAYERS, MIN_PLAYERS, Coalition, Game
+from .games import MAX_PLAYERS, MAX_WORTH_EXPONENT, MIN_PLAYERS, Coalition, Game, _coalition_bits
+
+# The exponent of a decimal literal, in the grammar `Fraction` reads it.
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 
 class GameInputError(ValueError):
@@ -26,7 +39,11 @@ def fraction_str(x: Fraction) -> str:
 
 
 def parse_rational(value) -> Fraction:
-    """Accept 'p/q' strings, decimal strings, ints, and Fractions."""
+    """Accept 'p/q' strings, decimal strings, ints, and Fractions.
+
+    A decimal exponent beyond `MAX_WORTH_EXPONENT` in absolute value is
+    refused before the string is converted.
+    """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -34,6 +51,7 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        _check_exponent(value)
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -45,6 +63,19 @@ def parse_rational(value) -> Fraction:
     raise GameInputError(f"cannot parse rational {value!r}")
 
 
+def _check_exponent(literal: str) -> None:
+    """Refuse a decimal literal whose exponent exceeds `MAX_WORTH_EXPONENT`."""
+    match = _EXPONENT.search(literal)
+    if match is None:
+        return
+    try:
+        exponent = int(match[1])
+    except ValueError:
+        return  # too many digits for int(); Fraction fails on it the same way
+    if abs(exponent) > MAX_WORTH_EXPONENT:
+        raise GameInputError(f"worth {literal!r} has a decimal exponent beyond ±{MAX_WORTH_EXPONENT}")
+
+
 def game_from_json(text: str) -> Game:
     """Parse the game input format.
 
@@ -53,11 +84,19 @@ def game_from_json(text: str) -> Game:
 
     Unlisted nonempty coalitions default to worth 0. Number worths are
     converted exactly from their decimal form. Listing the same coalition
-    twice is an error.
+    twice is an error. Players are JSON integers; ``true``/``false`` are
+    refused. A worth whose decimal exponent exceeds `MAX_WORTH_EXPONENT` in
+    absolute value is refused before it is expanded.
+
+    One pass over the entries: each player list becomes a validated bitmask
+    and is checked against the masks already seen; each string worth
+    literal is parsed the first time this document uses it and looked up in
+    a per-call table after that, so entries that repeat a literal share one
+    `Fraction`. Nothing is kept between calls.
     """
     try:
         # parse_float receives the raw literal, so decimals convert exactly
-        data = json.loads(text, parse_float=Fraction)
+        data = json.loads(text, parse_float=parse_rational)
     except json.JSONDecodeError as exc:
         raise GameInputError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
@@ -72,6 +111,9 @@ def game_from_json(text: str) -> Game:
         raise GameInputError(f"player count must be in [{MIN_PLAYERS}, {MAX_PLAYERS}], got {n}")
     worths = [Fraction(0)] * ((1 << n) - 1)
     seen: set[int] = set()
+    # Keyed by str only: true, 1 and "1" are equal as dict keys but must not
+    # share an entry.
+    literals: dict[str, Fraction] = {}
     for k, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise GameInputError(f"coalition entry {k} must be an object")
@@ -79,17 +121,24 @@ def game_from_json(text: str) -> Game:
         if not isinstance(players, list):
             raise GameInputError(f"coalition entry {k} needs a 'players' list")
         try:
-            coalition = Coalition.from_players(players, n)
+            bits = _coalition_bits(players, n)
         except ValueError as exc:
             raise GameInputError(f"coalition entry {k}: {exc}") from exc
-        if coalition.bits == 0:
+        if bits == 0:
             raise GameInputError(f"coalition entry {k} is empty; the empty coalition has worth 0")
-        if coalition.bits in seen:
-            raise GameInputError(f"duplicate coalition entry {coalition}")
-        seen.add(coalition.bits)
+        if bits in seen:
+            raise GameInputError(f"duplicate coalition entry {Coalition(bits, n)}")
+        seen.add(bits)
         if "worth" not in entry:
             raise GameInputError(f"coalition entry {k} needs a 'worth'")
-        worths[coalition.bits - 1] = parse_rational(entry["worth"])
+        worth = entry["worth"]
+        if type(worth) is str:
+            value = literals.get(worth)
+            if value is None:
+                value = literals[worth] = parse_rational(worth)
+        else:
+            value = parse_rational(worth)
+        worths[bits - 1] = value
     return Game(n, tuple(worths))
 
 

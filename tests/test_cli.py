@@ -266,3 +266,20 @@ def test_eval_is_identical_under_optimized_interpreter(tmp_path):
             assert proc.stdout.startswith(b"{")
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1], token
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+@pytest.mark.parametrize(
+    "coalition",
+    ['{"players": [true], "worth": 1}', '{"players": [0], "worth": "1e999999999"}', '{"players": [0], "worth": 1e999999999}'],
+)
+def test_eval_boolean_player_or_huge_exponent_is_input_error(tmp_path, flags, coalition):
+    path = tmp_path / "game.json"
+    path.write_text(f'{{"n": 2, "coalitions": [{coalition}]}}')
+    src = str(Path(valuegeom.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, *flags, "-m", "valuegeom", "eval", "--value", "sh", "--game", str(path)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=10,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("error: input:") and "Traceback" not in proc.stderr

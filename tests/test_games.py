@@ -42,6 +42,31 @@ def test_coalition_rejects_bad_players():
         Coalition(1 << 3, 3)
 
 
+def test_coalition_rejects_boolean_players():
+    with pytest.raises(ValueError, match="player True is a boolean"):
+        Coalition.from_players([True], 3)
+    with pytest.raises(ValueError, match="player False is a boolean"):
+        Coalition.from_players([2, False], 3)
+
+
+def test_coalition_from_players_names_the_first_bad_player():
+    assert Coalition.from_players([3, 0, 2], 4).bits == 0b1101
+    assert Coalition.from_players(iter([1, 0]), 2).bits == 0b11
+    cases = [
+        ([5, 0, 0], "player 5 out of range for n=4"),
+        ([0, 0, 5], "player 0 listed twice"),
+        ([1, -1], "player -1 out of range for n=4"),
+        ([-5], "player -5 out of range for n=4"),
+        ([1.0], "player 1.0 out of range for n=4"),
+        (["1"], "player '1' out of range for n=4"),
+        ([3, 2, 3], "player 3 listed twice"),
+    ]
+    for players, message in cases:
+        with pytest.raises(ValueError) as info:
+            Coalition.from_players(players, 4)
+        assert str(info.value) == message
+
+
 def test_unanimity_singleton_two_players():
     g = unanimity(2, 0b01)
     assert g.worth(0b01) == 1
