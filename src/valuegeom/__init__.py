@@ -9,6 +9,7 @@ large-n trend tables. Floats appear only at the reporting boundary.
 """
 
 from .combinatorics import (
+    ConsistencyError,
     axis_norm_sq,
     binomial_harmonic_sum,
     harmonic_number,
@@ -36,12 +37,17 @@ from .geometry import (
     banzhaf_optimal_epsilon,
     esd_optimal_epsilon,
     inner_L,
-    inner_L_by_enumeration,
-    inner_L_general,
-    inner_L_in_basis,
     optimal_epsilon,
     projection_report,
     residual_profile,
+)
+from .reference import (
+    banzhaf_oracle,
+    inner_L_by_enumeration,
+    inner_L_general,
+    inner_L_in_basis,
+    shapley_oracle,
+    solidarity_oracle,
 )
 from .serialize import GameInputError, fraction_str, game_from_json, load_game, rational_to_json
 from .strata import (
@@ -62,14 +68,11 @@ from .values import (
     PayoffVector,
     SymmetricValueProfile,
     SymmetryViolation,
-    banzhaf_oracle,
     egalitarian_shapley,
     evaluate,
     named_profile,
     profile_for_token,
     profile_from_general,
-    shapley_oracle,
-    solidarity_oracle,
     worth_weights,
 )
 

@@ -15,60 +15,39 @@ from fractions import Fraction
 
 from .fitting import gram_fit, mixture_profile
 from .games import random_h_orthonormal_basis
-from .geometry import (
-    inner_L_general,
-    inner_L_in_basis,
-    projection_report,
-)
-from .serialize import GameInputError, fraction_str, load_game, rational_to_json
+from .geometry import projection_report
+from .reference import inner_L_general, inner_L_in_basis
+from .serialize import fraction_str, load_game, rational_to_json
 from .strata import stratified_coords, weighted_moments, weights
 from .trends import trend_csv, trend_table
-from .values import GeneralLinearValueMap, evaluate, named_profile, profile_for_token
+from .values import PROFILE_KINDS, GeneralLinearValueMap, evaluate, named_profile, profile_for_token
 from .verification import run_all_checks
-
-TABULATE_ROWS = ("sh", "ed", "bz", "esd", "so")
 
 
 def _print_json(obj) -> None:
-    print(json.dumps(obj, indent=2))
+    """Print as indented JSON; every `Fraction` is written by `rational_to_json`."""
+    print(json.dumps(obj, indent=2, default=rational_to_json))
 
 
 def _cell(x: Fraction) -> str:
     return f"{fraction_str(x)} ({float(x):.4g})"
 
 
-def _report_dict(rep) -> dict:
-    return {
-        "n": rep.n,
-        "target": rep.target,
-        "eps_star": rational_to_json(rep.eps_star),
-        "dist_sq": rational_to_json(rep.dist_sq),
-        "proj_sq": rational_to_json(rep.proj_sq),
-        "resid_sq": rational_to_json(rep.resid_sq),
-        "r2": rational_to_json(rep.r2),
-        "at_shapley": rep.at_shapley,
-    }
-
-
 def cmd_tabulate(args) -> int:
     n = args.n
     if not 2 <= n <= 20:
         raise ValueError(f"tabulate supports n in [2, 20], got {n}")
-    reports = [projection_report(named_profile(kind, n), kind) for kind in TABULATE_ROWS]
+    reports = [projection_report(named_profile(kind, n), kind) for kind in PROFILE_KINDS]
     if args.format == "json":
-        _print_json({"n": n, "rows": [_report_dict(r) for r in reports]})
-        return 0
-    if args.format == "csv":
-        print("target,eps_star,dist_sq,proj_sq,resid_sq,r2")
-        for r in reports:
-            cells = [fraction_str(x) for x in (r.eps_star, r.dist_sq, r.proj_sq, r.resid_sq, r.r2)]
-            print(",".join([r.target, *cells]))
+        _print_json({"n": n, "rows": [vars(r) for r in reports]})
         return 0
     header = ["target", "eps_star", "dist_sq", "proj_sq", "resid_sq", "r2"]
-    rows = [
-        [r.target, _cell(r.eps_star), _cell(r.dist_sq), _cell(r.proj_sq), _cell(r.resid_sq), _cell(r.r2)]
-        for r in reports
-    ]
+    render = fraction_str if args.format == "csv" else _cell
+    rows = [[r.target, *(render(getattr(r, column)) for column in header[1:])] for r in reports]
+    if args.format == "csv":
+        for row in (header, *rows):
+            print(",".join(row))
+        return 0
     widths = [max(len(h), *(len(row[i]) for row in rows)) for i, h in enumerate(header)]
     print(f"n = {n}")
     print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
@@ -79,7 +58,7 @@ def cmd_tabulate(args) -> int:
 
 def cmd_project(args) -> int:
     profile = profile_for_token(args.target, args.n)
-    _print_json(_report_dict(projection_report(profile, args.target)))
+    _print_json(vars(projection_report(profile, args.target)))
     return 0
 
 
@@ -93,14 +72,14 @@ def cmd_strata(args) -> int:
         {
             "n": args.n,
             "target": args.target,
-            "eps": [rational_to_json(e) for e in coords.eps],
-            "delta": [rational_to_json(d) for d in coords.delta],
-            "w": [rational_to_json(x) for x in w.w],
-            "top_dev_sq": rational_to_json(coords.top_dev_sq),
-            "mean": rational_to_json(moments.mean),
-            "second_moment": rational_to_json(moments.second_moment),
-            "variance": rational_to_json(moments.variance),
-            "r2": rational_to_json(rep.r2),
+            "eps": coords.eps,
+            "delta": coords.delta,
+            "w": w.w,
+            "top_dev_sq": coords.top_dev_sq,
+            "mean": moments.mean,
+            "second_moment": moments.second_moment,
+            "variance": moments.variance,
+            "r2": rep.r2,
         }
     )
     return 0
@@ -121,17 +100,17 @@ def cmd_fit(args) -> int:
             "target": args.target,
             "directions": list(fit.names),
             "gram_size": k,
-            "gram": [rational_to_json(fit.gram[i][j]) for i in range(k) for j in range(k)],
-            "gram_det": rational_to_json(fit.gram_det),
-            "rhs": [rational_to_json(x) for x in fit.rhs],
-            "coeffs": [rational_to_json(x) for x in fit.coeffs],
-            "proj_sq": rational_to_json(fit.proj_sq),
-            "dist_sq": rational_to_json(fit.dist_sq),
-            "r2_u": rational_to_json(fit.r2_u),
+            "gram": [fit.gram[i][j] for i in range(k) for j in range(k)],
+            "gram_det": fit.gram_det,
+            "rhs": fit.rhs,
+            "coeffs": fit.coeffs,
+            "proj_sq": fit.proj_sq,
+            "dist_sq": fit.dist_sq,
+            "r2_u": fit.r2_u,
             "mixture": {
-                "shapley_coeff": rational_to_json(fit.shapley_coefficient),
-                "alpha": [rational_to_json(a) for a in mixture.alpha],
-                "beta": [rational_to_json(b) for b in mixture.beta],
+                "shapley_coeff": fit.shapley_coefficient,
+                "alpha": mixture.alpha,
+                "beta": mixture.beta,
             },
         }
     )
@@ -150,8 +129,8 @@ def cmd_trends(args) -> int:
                     {
                         "n": r.n,
                         "target": r.target,
-                        "eps_star": rational_to_json(r.eps_star),
-                        "r2": rational_to_json(r.r2),
+                        "eps_star": r.eps_star,
+                        "r2": r.r2,
                         "one_minus_r2": r.one_minus_r2,
                     }
                     for r in rows
@@ -174,7 +153,7 @@ def cmd_eval(args) -> int:
         {
             "n": game.n,
             "value": token,
-            "payoffs": [rational_to_json(x) for x in payoffs],
+            "payoffs": payoffs,
         }
     )
     return 0
@@ -188,11 +167,10 @@ def cmd_basis_check(args) -> int:
         ("ed-sh", "bz-sh"),
         ("ed-sh", "ed-sh"),
     )
+    sh = GeneralLinearValueMap.from_profile(named_profile("sh", args.n))
     maps = {
-        "bz-sh": GeneralLinearValueMap.from_profile(named_profile("bz", args.n))
-        - GeneralLinearValueMap.from_profile(named_profile("sh", args.n)),
-        "ed-sh": GeneralLinearValueMap.from_profile(named_profile("ed", args.n))
-        - GeneralLinearValueMap.from_profile(named_profile("sh", args.n)),
+        f"{kind}-sh": GeneralLinearValueMap.from_profile(named_profile(kind, args.n)) - sh
+        for kind in ("bz", "ed")
     }
     comparisons = []
     all_equal = gram_ok
@@ -205,8 +183,8 @@ def cmd_basis_check(args) -> int:
             {
                 "left": left,
                 "right": right,
-                "in_basis": rational_to_json(in_basis),
-                "direct": rational_to_json(direct),
+                "in_basis": in_basis,
+                "direct": direct,
                 "equal": equal,
             }
         )
@@ -303,13 +281,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except GameInputError as exc:
-        print(f"error: input: {exc}", file=sys.stderr)
-        return 3
-    except FileNotFoundError as exc:
-        print(f"error: input: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
+    except (FileNotFoundError, ValueError) as exc:
         print(f"error: input: {exc}", file=sys.stderr)
         return 3
 

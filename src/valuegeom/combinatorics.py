@@ -1,8 +1,9 @@
 """Exact combinatorial sums shared by the geometry and trend modules.
 
 Each quantity that admits more than one closed form is evaluated through all
-of them and the results are asserted equal, so a regression in any one
-formula fails loudly.
+of them and the results are checked equal, so a regression in any one
+formula fails loudly. The checks raise `ConsistencyError`, not ``assert``,
+so they run under ``python -O`` too.
 """
 
 from __future__ import annotations
@@ -12,6 +13,16 @@ from functools import lru_cache
 from math import comb
 
 MAX_SUM_INDEX = 64
+
+
+class ConsistencyError(AssertionError):
+    """Two exact evaluations of the same quantity disagreed."""
+
+
+def _check(ok: bool, what: str) -> None:
+    """Raise `ConsistencyError` naming the identity ``what`` unless ``ok``."""
+    if not ok:
+        raise ConsistencyError(what)
 
 
 def _check_index(n: int, low: int = 1) -> None:
@@ -43,7 +54,7 @@ def binomial_harmonic_sum(n: int) -> Fraction:
     powers = Fraction(0)
     for j in range(1, n + 1):
         powers += Fraction(1 << j, j)
-    assert direct == powers - harmonic_number(n)
+    _check(direct == powers - harmonic_number(n), "binomial harmonic sum: direct sum vs power form")
     return direct
 
 
@@ -59,7 +70,7 @@ def axis_norm_sq(n: int) -> Fraction:
     for a in range(1, n + 1):
         via_sum += comb(n, a) * (Fraction(1, a) - Fraction(1, n))
     via_h = binomial_harmonic_sum(n) - Fraction((1 << n) - 1, n)
-    assert via_sum == via_h
+    _check(via_sum == via_h, "axis norm: per-size sum vs binomial harmonic form")
     return via_sum
 
 
@@ -69,14 +80,14 @@ def power_harmonic_sum(n: int) -> Fraction:
 
     For n >= 2 the exact identity
     axis_norm_sq(n) = power_harmonic_sum(n) + 1/n - harmonic_number(n)
-    is asserted on every call.
+    is checked on every call.
     """
     _check_index(n)
     total = Fraction(0)
     for j in range(1, n):
         total += Fraction(1 << j, j)
     if n >= 2:
-        assert axis_norm_sq(n) == total + Fraction(1, n) - harmonic_number(n)
+        _check(axis_norm_sq(n) == total + Fraction(1, n) - harmonic_number(n), "axis norm vs power harmonic sum")
     return total
 
 
@@ -84,7 +95,7 @@ def power_harmonic_sum(n: int) -> Fraction:
 def solidarity_stratum_epsilon(a: int, n: int) -> Fraction:
     """Per-size mixing coefficient of the solidarity value toward equal division.
 
-    Three equivalent finite sums are evaluated and asserted equal, plus the
+    Three equivalent finite sums are evaluated and checked equal, plus the
     clean special cases at a = 1, a = n-1, and a = n-2.
     """
     if not 1 <= a <= n - 1:
@@ -107,11 +118,11 @@ def solidarity_stratum_epsilon(a: int, n: int) -> Fraction:
         tail += Fraction(comb(s, a + 1), s * (s + 1))
     abel = Fraction(a, a + 1) + ratio * tail
 
-    assert direct == binom == abel
+    _check(direct == binom == abel, "solidarity mix: direct, binomial and Abel sums")
     if a == 1:
-        assert direct == 1 - Fraction(harmonic_number(n) - 1, n - 1)
+        _check(direct == 1 - Fraction(harmonic_number(n) - 1, n - 1), "solidarity mix at size 1")
     if a == n - 1:
-        assert direct == Fraction(n - 1, n)
+        _check(direct == Fraction(n - 1, n), "solidarity mix at size n-1")
     if a == n - 2:
-        assert direct == Fraction((n - 2) * ((n - 1) ** 2 + n), n * (n - 1) ** 2)
+        _check(direct == Fraction((n - 2) * ((n - 1) ** 2 + n), n * (n - 1) ** 2), "solidarity mix at size n-2")
     return direct

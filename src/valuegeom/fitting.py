@@ -14,6 +14,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
+from .combinatorics import _check
+from .games import _require_same_n
 from .geometry import inner_L
 from .values import SymmetricValueProfile, named_profile
 
@@ -142,9 +144,7 @@ def gram_fit(
     anchors = tuple(anchors)
     if not anchors:
         raise ValueError("at least one direction anchor is required")
-    for p in anchors:
-        if p.n != n:
-            raise ValueError(f"player counts differ: {p.n} vs {n}")
+    _require_same_n(n, *(p.n for p in anchors))
     if names is None:
         names = tuple(f"dir{k}" for k in range(len(anchors)))
     names = tuple(names)
@@ -162,7 +162,7 @@ def gram_fit(
         offending = tuple(nm for nm, x in zip(names, null) if x != 0)
         raise DependentDirections(offending)
     for i in range(k):
-        assert sum((gram[i][j] * coeffs[j] for j in range(k)), _ZERO) == rhs[i]
+        _check(sum((gram[i][j] * coeffs[j] for j in range(k)), _ZERO) == rhs[i], "normal equations at the solution")
     proj_sq = sum((c * r for c, r in zip(coeffs, rhs)), _ZERO)
     dist_sq = inner_L(diff, diff)
     r2_u = _ONE if dist_sq == 0 else proj_sq / dist_sq

@@ -12,10 +12,11 @@ values can be shared freely across threads.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from functools import partial
 from math import lcm
-from operator import add, countOf, mul, sub
+from operator import add, countOf, mul, neg, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
 MIN_PLAYERS = 2
@@ -42,6 +43,54 @@ _ONE = Fraction(1)
 def _check_player_count(n: int) -> None:
     if not MIN_PLAYERS <= n <= MAX_PLAYERS:
         raise ValueError(f"player count must be in [{MIN_PLAYERS}, {MAX_PLAYERS}], got {n}")
+
+
+def _require_same_n(*ns: int) -> None:
+    """Refuse to combine objects over different player counts.
+
+    Private: the per-layer benchmark tracer wraps public functions, and this
+    one runs on every profile operation of the closed-form layers.
+    """
+    if len(set(ns)) > 1:
+        raise ValueError("player counts differ: " + " vs ".join(map(str, ns)))
+
+
+def _require_coalition_count(items: Sequence, n: int, what: str) -> None:
+    """Refuse a player count out of range, or other than one item per nonempty coalition."""
+    _check_player_count(n)
+    expected = (1 << n) - 1
+    if len(items) != expected:
+        raise ValueError(f"expected {expected} {what} for n={n}, got {len(items)}")
+
+
+def _pointwise(op: Callable, *vectors: tuple) -> tuple:
+    """``op`` entry by entry across equal-shape tuples, recursing into nested ones."""
+    if vectors[0] and isinstance(vectors[0][0], tuple):
+        return tuple(_pointwise(op, *rows) for rows in zip(*vectors))
+    return tuple(map(op, *vectors))
+
+
+class VectorOps:
+    """Pointwise ``+``, ``-``, scalar ``*`` and unary ``-`` for frozen dataclasses
+    whose first field is ``n`` and whose other fields are (nested) tuples of
+    rationals; each operation builds a new instance of the same class."""
+
+    def _combine(self, op: Callable, *others):
+        _require_same_n(self.n, *(o.n for o in others))
+        parts = [[getattr(x, f.name) for x in (self, *others)] for f in fields(self)[1:]]
+        return type(self)(self.n, *(_pointwise(op, *vectors) for vectors in parts))
+
+    def __add__(self, other):
+        return self._combine(add, other)
+
+    def __sub__(self, other):
+        return self._combine(sub, other)
+
+    def __rmul__(self, scalar):
+        return self._combine(partial(mul, Fraction(scalar)))
+
+    def __neg__(self):
+        return self._combine(neg)
 
 
 #: For each valid player count n, the bit of each player index 0..n-1. Only
@@ -125,7 +174,7 @@ def _as_bits(generators: "Coalition | int", n: int) -> int:
 
 
 @dataclass(frozen=True)
-class Game:
+class Game(VectorOps):
     """A TU game: exact worths indexed by nonempty coalition bitmask.
 
     ``worths[m - 1]`` is the worth of the coalition with bitmask ``m``.
@@ -135,10 +184,7 @@ class Game:
     worths: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        _check_player_count(self.n)
-        expected = (1 << self.n) - 1
-        if len(self.worths) != expected:
-            raise ValueError(f"expected {expected} worths for n={self.n}, got {len(self.worths)}")
+        _require_coalition_count(self.worths, self.n, "worths")
 
     @classmethod
     def zero(cls, n: int) -> "Game":
@@ -152,25 +198,6 @@ class Game:
     def worth(self, bits: int) -> Fraction:
         return _ZERO if bits == 0 else self.worths[bits - 1]
 
-    def _require_same_n(self, other: "Game") -> None:
-        if self.n != other.n:
-            raise ValueError(f"player counts differ: {self.n} vs {other.n}")
-
-    def __add__(self, other: "Game") -> "Game":
-        self._require_same_n(other)
-        return Game(self.n, tuple(a + b for a, b in zip(self.worths, other.worths)))
-
-    def __sub__(self, other: "Game") -> "Game":
-        self._require_same_n(other)
-        return Game(self.n, tuple(a - b for a, b in zip(self.worths, other.worths)))
-
-    def __rmul__(self, scalar) -> "Game":
-        c = Fraction(scalar)
-        return Game(self.n, tuple(c * w for w in self.worths))
-
-    def __neg__(self) -> "Game":
-        return Game(self.n, tuple(-w for w in self.worths))
-
 
 @dataclass(frozen=True)
 class DividendVector:
@@ -180,10 +207,7 @@ class DividendVector:
     dividends: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        _check_player_count(self.n)
-        expected = (1 << self.n) - 1
-        if len(self.dividends) != expected:
-            raise ValueError(f"expected {expected} dividends for n={self.n}, got {len(self.dividends)}")
+        _require_coalition_count(self.dividends, self.n, "dividends")
 
 
 def unanimity(n: int, generators: "Coalition | int") -> Game:
@@ -267,8 +291,7 @@ def from_dividends(d: DividendVector) -> Game:
 
 def harsanyi_inner(g: Game, h: Game) -> Fraction:
     """Dot product of dividend coordinates; unanimity games are orthonormal in it."""
-    if g.n != h.n:
-        raise ValueError(f"player counts differ: {g.n} vs {h.n}")
+    _require_same_n(g.n, h.n)
     dg, den_g = integer_subset_transform(g.worths, g.n, -1)
     dh, den_h = integer_subset_transform(h.worths, h.n, -1)
     return Fraction(sum(map(mul, dg, dh)), den_g * den_h)
@@ -283,10 +306,7 @@ class HOrthonormalBasis:
     provenance: str = field(compare=False)
 
     def __post_init__(self) -> None:
-        _check_player_count(self.n)
-        expected = (1 << self.n) - 1
-        if len(self.vectors) != expected:
-            raise ValueError(f"expected {expected} basis vectors for n={self.n}, got {len(self.vectors)}")
+        _require_coalition_count(self.vectors, self.n, "basis vectors")
         for v in self.vectors:
             if v.n != self.n:
                 raise ValueError("basis vector has mismatched player count")
@@ -297,18 +317,32 @@ class HOrthonormalBasis:
 
     def gram_is_identity(self) -> bool:
         """True when every pairwise inner product matches the identity matrix."""
-        rows = self.dividend_rows()
-        d = len(rows)
-        for i in range(d):
-            for j in range(i, d):
-                expected = _ONE if i == j else _ZERO
-                total = _ZERO
-                for a, b in zip(rows[i], rows[j]):
-                    if a and b:
-                        total += a * b
-                if total != expected:
-                    return False
-        return True
+        return first_non_orthonormal_pair(self.dividend_rows()) is None
+
+
+def first_non_orthonormal_pair(rows: Sequence[Sequence[Fraction]]) -> tuple[int, int, Fraction, Fraction] | None:
+    """The first pair of rows whose dot product is not the identity entry.
+
+    Returns ``(i, j, product, expected)`` for the first ``i <= j`` in row
+    order, or ``None`` when the rows are exactly orthonormal.
+    """
+    d = len(rows)
+    for i in range(d):
+        for j in range(i, d):
+            expected = _ONE if i == j else _ZERO
+            total = _dot(rows[i], rows[j])
+            if total != expected:
+                return i, j, total, expected
+    return None
+
+
+def _dot(u: Iterable[Fraction], v: Iterable[Fraction]) -> Fraction:
+    """Dot product of two rational vectors, skipping products with a zero factor."""
+    total = _ZERO
+    for x, y in zip(u, v):
+        if x and y:
+            total += x * y
+    return total
 
 
 def unanimity_basis(n: int) -> HOrthonormalBasis:

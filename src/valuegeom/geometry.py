@@ -2,9 +2,7 @@
 
 The inner product sums, over all unanimity games, the Euclidean pairing of
 the two maps' payoff vectors. On symmetric profiles this collapses to an
-O(n) sum over coalition sizes; the O(2^n) enumeration and the evaluation in
-an arbitrary orthonormal basis of the game space are kept as independent
-verification paths.
+O(n) sum over coalition sizes.
 """
 
 from __future__ import annotations
@@ -14,38 +12,15 @@ from fractions import Fraction
 from math import comb
 
 from .combinatorics import axis_norm_sq
-from .games import HOrthonormalBasis, coalitions
+from .games import _require_same_n
 from .values import (
-    GeneralLinearValueMap,
     SymmetricValueProfile,
     egalitarian_shapley,
     named_profile,
 )
 
-#: Direct coalition enumeration is kept as a cross-check up to this size.
-MAX_ENUMERATION_PLAYERS = 12
-
-#: General (non-symmetric) maps carry n * (2^n - 1) rationals; cap their use.
-MAX_GENERAL_MAP_PLAYERS = 6
-
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-__all__ = [
-    "MAX_ENUMERATION_PLAYERS",
-    "MAX_GENERAL_MAP_PLAYERS",
-    "ProjectionReport",
-    "axis_norm_sq",
-    "banzhaf_optimal_epsilon",
-    "esd_optimal_epsilon",
-    "inner_L",
-    "inner_L_by_enumeration",
-    "inner_L_general",
-    "inner_L_in_basis",
-    "optimal_epsilon",
-    "projection_report",
-    "residual_profile",
-]
 
 
 def inner_L(p: SymmetricValueProfile, q: SymmetricValueProfile) -> Fraction:
@@ -54,8 +29,7 @@ def inner_L(p: SymmetricValueProfile, q: SymmetricValueProfile) -> Fraction:
     Each size a < n contributes C(n, a) * (a * alpha_a * alpha_a'
     + (n-a) * beta_a * beta_a'); size n contributes n * alpha_n * alpha_n'.
     """
-    if p.n != q.n:
-        raise ValueError(f"player counts differ: {p.n} vs {q.n}")
+    _require_same_n(p.n, q.n)
     n = p.n
     total = _ZERO
     for a in range(1, n):
@@ -63,78 +37,6 @@ def inner_L(p: SymmetricValueProfile, q: SymmetricValueProfile) -> Fraction:
         if term:
             total += comb(n, a) * term
     total += n * p.alpha[n - 1] * q.alpha[n - 1]
-    return total
-
-
-def inner_L_by_enumeration(p: SymmetricValueProfile, q: SymmetricValueProfile) -> Fraction:
-    """Same inner product, summed payoff-by-payoff over every coalition."""
-    if p.n != q.n:
-        raise ValueError(f"player counts differ: {p.n} vs {q.n}")
-    if p.n > MAX_ENUMERATION_PLAYERS:
-        raise ValueError(f"enumeration path is capped at n={MAX_ENUMERATION_PLAYERS}, got {p.n}")
-    total = _ZERO
-    for mask in coalitions(p.n):
-        for x, y in zip(p.unanimity_payoff(mask), q.unanimity_payoff(mask)):
-            if x and y:
-                total += x * y
-    return total
-
-
-def inner_L_general(p: GeneralLinearValueMap, q: GeneralLinearValueMap) -> Fraction:
-    """Inner product of two general linear maps, summed over all unanimity games."""
-    if p.n != q.n:
-        raise ValueError(f"player counts differ: {p.n} vs {q.n}")
-    if p.n > MAX_GENERAL_MAP_PLAYERS:
-        raise ValueError(f"general maps are capped at n={MAX_GENERAL_MAP_PLAYERS}, got {p.n}")
-    total = _ZERO
-    for u, v in zip(p.actions, q.actions):
-        for x, y in zip(u, v):
-            if x and y:
-                total += x * y
-    return total
-
-
-def inner_L_in_basis(
-    p: GeneralLinearValueMap, q: GeneralLinearValueMap, basis: HOrthonormalBasis
-) -> Fraction:
-    """Inner product computed in an arbitrary orthonormal basis of the game space.
-
-    Each basis game is expanded in dividends and the maps are applied by
-    linearity. The result must agree exactly with `inner_L_general`; the
-    basis is validated first and rejected if its pairwise inner products
-    differ from the identity matrix.
-    """
-    if p.n != q.n or p.n != basis.n:
-        raise ValueError(f"player counts differ: {p.n}, {q.n}, basis {basis.n}")
-    rows = basis.dividend_rows()
-    d = len(rows)
-    for i in range(d):
-        for j in range(i, d):
-            expected = _ONE if i == j else _ZERO
-            acc = _ZERO
-            for x, y in zip(rows[i], rows[j]):
-                if x and y:
-                    acc += x * y
-            if acc != expected:
-                raise ValueError(
-                    f"basis is not orthonormal: vectors {i} and {j} pair to {acc}, expected {expected}"
-                )
-    n = p.n
-    total = _ZERO
-    for row in rows:
-        p_img = [_ZERO] * n
-        q_img = [_ZERO] * n
-        for coeff, p_vec, q_vec in zip(row, p.actions, q.actions):
-            if not coeff:
-                continue
-            for i in range(n):
-                if p_vec[i]:
-                    p_img[i] += coeff * p_vec[i]
-                if q_vec[i]:
-                    q_img[i] += coeff * q_vec[i]
-        for x, y in zip(p_img, q_img):
-            if x and y:
-                total += x * y
     return total
 
 
@@ -197,7 +99,7 @@ def projection_report(target: SymmetricValueProfile, name: str = "") -> Projecti
     eps = optimal_epsilon(target)
     dist_sq = inner_L(diff, diff)
     proj_sq = eps * eps * axis_norm_sq(n)
-    resid = residual_profile(target)
+    resid = target - egalitarian_shapley(eps, n)
     resid_sq = inner_L(resid, resid)
     at_shapley = dist_sq == 0
     r2 = _ONE if at_shapley else proj_sq / dist_sq

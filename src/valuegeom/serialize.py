@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 from typing import Any
 
@@ -20,6 +21,9 @@ from .games import MAX_PLAYERS, MAX_WORTH_EXPONENT, MIN_PLAYERS, Coalition, Game
 
 # The exponent of a decimal literal, in the grammar `Fraction` reads it.
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+#: How many characters of an offending literal an error message repeats.
+_EXCERPT_CHARS = 40
 
 
 class GameInputError(ValueError):
@@ -55,12 +59,20 @@ def parse_rational(value) -> Fraction:
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise GameInputError(f"cannot parse rational {value!r}") from exc
+            raise GameInputError(f"cannot parse rational {_excerpt(value)}") from exc
     if isinstance(value, float):
         # Binary floats reach here only if the caller bypassed game_from_json;
         # their decimal intent is unrecoverable, so refuse.
         raise GameInputError("float worths must come through the JSON text parser")
-    raise GameInputError(f"cannot parse rational {value!r}")
+    raise GameInputError(f"cannot parse rational {_excerpt(value)}")
+
+
+def _excerpt(value) -> str:
+    """``repr(value)``, or its first characters and its length when it is long."""
+    text = value if isinstance(value, str) else repr(value)
+    if len(text) <= _EXCERPT_CHARS:
+        return repr(value)
+    return f"{text[:_EXCERPT_CHARS] + '…'!r} ({len(text)} characters)"
 
 
 def _check_exponent(literal: str) -> None:
@@ -73,7 +85,7 @@ def _check_exponent(literal: str) -> None:
     except ValueError:
         return  # too many digits for int(); Fraction fails on it the same way
     if abs(exponent) > MAX_WORTH_EXPONENT:
-        raise GameInputError(f"worth {literal!r} has a decimal exponent beyond ±{MAX_WORTH_EXPONENT}")
+        raise GameInputError(f"worth {_excerpt(literal)} has a decimal exponent beyond ±{MAX_WORTH_EXPONENT}")
 
 
 def game_from_json(text: str) -> Game:
@@ -97,8 +109,14 @@ def game_from_json(text: str) -> Game:
     try:
         # parse_float receives the raw literal, so decimals convert exactly
         data = json.loads(text, parse_float=parse_rational)
+    except GameInputError:
+        raise
     except json.JSONDecodeError as exc:
         raise GameInputError(f"invalid JSON: {exc}") from exc
+    except ValueError as exc:
+        # The one other refusal of json.loads: an integer literal longer than
+        # the interpreter's limit on digits converted from a string.
+        raise GameInputError(f"invalid JSON: an integer longer than {sys.get_int_max_str_digits()} digits") from exc
     if not isinstance(data, dict):
         raise GameInputError("top-level value must be an object")
     n = data.get("n")

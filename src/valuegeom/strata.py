@@ -17,7 +17,8 @@ from fractions import Fraction
 from math import comb
 from typing import NamedTuple, Sequence
 
-from .combinatorics import axis_norm_sq
+from .combinatorics import _check, axis_norm_sq
+from .games import _require_same_n
 from .geometry import inner_L
 from .values import SymmetricValueProfile, named_profile
 
@@ -136,14 +137,13 @@ def weights(n: int) -> StratumWeights:
         raise ValueError(f"player count must be at least 2, got {n}")
     dn = axis_norm_sq(n)
     w = tuple(comb(n, a) * (Fraction(1, a) - Fraction(1, n)) / dn for a in range(1, n))
-    assert sum(w) == 1
+    _check(sum(w) == 1, "size weights sum to one")
     return StratumWeights(n, w)
 
 
 def weighted_moments(coords: StratifiedCoordinates, w: StratumWeights) -> Moments:
     """Weighted mean, second moment, and variance of the per-size coefficients."""
-    if coords.n != w.n:
-        raise ValueError(f"player counts differ: {coords.n} vs {w.n}")
+    _require_same_n(coords.n, w.n)
     mean = _ZERO
     second = _ZERO
     for e, wa in zip(coords.eps, w.w):
@@ -174,7 +174,7 @@ def generalized_pythagoras(
     Size a < n contributes C(n, a) * (1/a - 1/n) * eps_a^2 along the
     equal-division direction and C(n, a) * n * delta_a^2 along the all-ones
     direction; the top size contributes n * (alpha_n - 1/n)^2. The total is
-    asserted against an independent inner-product evaluation.
+    checked against an independent inner-product evaluation.
     """
     n = target.n
     coords = stratified_coords(target)
@@ -185,5 +185,5 @@ def generalized_pythagoras(
     unif_terms = tuple(comb(n, a) * n * coords.delta[a - 1] ** 2 for a in range(1, n))
     total = sum(eff_terms, _ZERO) + sum(unif_terms, _ZERO) + coords.top_dev_sq
     diff = target - named_profile("sh", n)
-    assert total == inner_L(diff, diff)
+    _check(total == inner_L(diff, diff), "per-size breakdown total vs inner product")
     return PythagorasBreakdown(n, eff_terms, unif_terms, coords.top_dev_sq, total)

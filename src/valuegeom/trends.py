@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .combinatorics import axis_norm_sq
+from .combinatorics import _check, axis_norm_sq
 from .geometry import projection_report
 from .values import profile_for_token
 
@@ -35,7 +35,7 @@ def trend_table(targets: Sequence[str], n_min: int, n_max: int) -> list[TrendRow
     """Exact projection summaries for each target at each n in [n_min, n_max].
 
     For the equal-surplus-division target, the exact identity
-    1 - r2 = (n - 1) / axis_norm_sq(n) is asserted on every row with n >= 3
+    1 - r2 = (n - 1) / axis_norm_sq(n) is checked on every row with n >= 3
     (at n = 2 that target coincides with the Shapley value and r2 is 1 by
     convention).
     """
@@ -48,7 +48,7 @@ def trend_table(targets: Sequence[str], n_min: int, n_max: int) -> list[TrendRow
         for token in targets:
             report = projection_report(profile_for_token(token, n), token)
             if token == "esd" and n >= 3:
-                assert 1 - report.r2 == Fraction(n - 1) / axis_norm_sq(n)
+                _check(1 - report.r2 == Fraction(n - 1) / axis_norm_sq(n), "equal-surplus residual share")
             rows.append(
                 TrendRow(
                     n=n,

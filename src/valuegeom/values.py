@@ -1,4 +1,4 @@
-"""Symmetric linear value maps in per-size coordinates, plus brute-force oracles.
+"""Symmetric and general linear value maps, and their evaluation on games.
 
 A symmetric linear value map on n players is pinned down by what it pays on
 each unanimity game, and by symmetry that payoff has one value for members
@@ -15,34 +15,31 @@ only on the coalition size and on whether the player belongs to it;
 and the sum over worths runs on integers after one lcm scaling.
 `GeneralLinearValueMap.apply` has no such symmetry and goes through the
 integer dividends of `games.integer_subset_transform`.
-
-The oracles at the bottom recompute the same solutions straight from their
-definition sums (permutations, subsets, within-coalition averages) so the
-closed forms can be checked against an independent path.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 from operator import add, mul
 from typing import Callable, Sequence
 
 from .combinatorics import solidarity_stratum_epsilon
-from .games import Coalition, Game, clear_denominators, coalitions, integer_subset_transform
+from .games import (
+    Coalition,
+    Game,
+    VectorOps,
+    _require_coalition_count,
+    _require_same_n,
+    clear_denominators,
+    coalitions,
+    integer_subset_transform,
+)
 
 PayoffVector = tuple[Fraction, ...]
 
 PROFILE_KINDS = ("sh", "ed", "bz", "esd", "so")
-
-#: Hard caps keeping the definition-sum oracles inside a sane runtime.
-#: These are configuration constants, never silent truncations: exceeding a
-#: cap raises.
-SHAPLEY_ORACLE_MAX_PLAYERS = 8
-BANZHAF_ORACLE_MAX_PLAYERS = 20
-SOLIDARITY_ORACLE_MAX_PLAYERS = 12
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -58,7 +55,7 @@ class SymmetryViolation(ValueError):
 
 
 @dataclass(frozen=True)
-class SymmetricValueProfile:
+class SymmetricValueProfile(VectorOps):
     """Per-size coordinates of a symmetric linear value map.
 
     ``alpha[a-1]`` is the payoff to a member of a size-a generating
@@ -78,10 +75,6 @@ class SymmetricValueProfile:
             raise ValueError(f"expected {self.n} alpha entries, got {len(self.alpha)}")
         if len(self.beta) != self.n - 1:
             raise ValueError(f"expected {self.n - 1} beta entries, got {len(self.beta)}")
-
-    @classmethod
-    def zero(cls, n: int) -> "SymmetricValueProfile":
-        return cls(n, (_ZERO,) * n, (_ZERO,) * (n - 1))
 
     def alpha_at(self, a: int) -> Fraction:
         """Member payoff at coalition size a (1-based)."""
@@ -108,37 +101,6 @@ class SymmetricValueProfile:
             if a * self.alpha[a - 1] + (n - a) * self.beta[a - 1] != 1:
                 return False
         return n * self.alpha[n - 1] == 1
-
-    def _require_same_n(self, other: "SymmetricValueProfile") -> None:
-        if self.n != other.n:
-            raise ValueError(f"player counts differ: {self.n} vs {other.n}")
-
-    def __add__(self, other: "SymmetricValueProfile") -> "SymmetricValueProfile":
-        self._require_same_n(other)
-        return SymmetricValueProfile(
-            self.n,
-            tuple(a + b for a, b in zip(self.alpha, other.alpha)),
-            tuple(a + b for a, b in zip(self.beta, other.beta)),
-        )
-
-    def __sub__(self, other: "SymmetricValueProfile") -> "SymmetricValueProfile":
-        self._require_same_n(other)
-        return SymmetricValueProfile(
-            self.n,
-            tuple(a - b for a, b in zip(self.alpha, other.alpha)),
-            tuple(a - b for a, b in zip(self.beta, other.beta)),
-        )
-
-    def __rmul__(self, scalar) -> "SymmetricValueProfile":
-        c = Fraction(scalar)
-        return SymmetricValueProfile(
-            self.n,
-            tuple(c * a for a in self.alpha),
-            tuple(c * b for b in self.beta),
-        )
-
-    def __neg__(self) -> "SymmetricValueProfile":
-        return (-1) * self
 
 
 def named_profile(kind: str, n: int) -> SymmetricValueProfile:
@@ -240,8 +202,7 @@ def evaluate(profile: SymmetricValueProfile, game: Game) -> PayoffVector:
     arithmetic and only the n payoffs become `Fraction`s; no dividend is
     computed.
     """
-    if profile.n != game.n:
-        raise ValueError(f"player counts differ: {profile.n} vs {game.n}")
+    _require_same_n(profile.n, game.n)
     n = game.n
     w_in, w_out = worth_weights(profile)
     w_out = (*w_out, _ZERO)  # the grand coalition has no outsiders
@@ -266,7 +227,7 @@ def evaluate(profile: SymmetricValueProfile, game: Game) -> PayoffVector:
 
 
 @dataclass(frozen=True)
-class GeneralLinearValueMap:
+class GeneralLinearValueMap(VectorOps):
     """A linear value map pinned down by its payoff vector on every unanimity game.
 
     ``actions[m - 1]`` is the payoff vector on the unanimity game generated
@@ -279,9 +240,7 @@ class GeneralLinearValueMap:
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ValueError(f"player count must be at least 2, got {self.n}")
-        expected = (1 << self.n) - 1
-        if len(self.actions) != expected:
-            raise ValueError(f"expected {expected} unanimity payoffs, got {len(self.actions)}")
+        _require_coalition_count(self.actions, self.n, "unanimity payoffs")
         for vec in self.actions:
             if len(vec) != self.n:
                 raise ValueError(f"payoff vectors must have length {self.n}")
@@ -305,8 +264,7 @@ class GeneralLinearValueMap:
         own lcm, so every payoff is one integer dot product over one
         denominator.
         """
-        if self.n != game.n:
-            raise ValueError(f"player counts differ: {self.n} vs {game.n}")
+        _require_same_n(self.n, game.n)
         divs, den = integer_subset_transform(game.worths, self.n, -1)
         del divs[0]
         payoff = []
@@ -314,30 +272,6 @@ class GeneralLinearValueMap:
             scaled, column_den = clear_denominators(column)
             payoff.append(Fraction(sum(map(mul, divs, scaled)), den * column_den))
         return tuple(payoff)
-
-    def _require_same_n(self, other: "GeneralLinearValueMap") -> None:
-        if self.n != other.n:
-            raise ValueError(f"player counts differ: {self.n} vs {other.n}")
-
-    def __add__(self, other: "GeneralLinearValueMap") -> "GeneralLinearValueMap":
-        self._require_same_n(other)
-        return GeneralLinearValueMap(
-            self.n,
-            tuple(tuple(a + b for a, b in zip(u, v)) for u, v in zip(self.actions, other.actions)),
-        )
-
-    def __sub__(self, other: "GeneralLinearValueMap") -> "GeneralLinearValueMap":
-        self._require_same_n(other)
-        return GeneralLinearValueMap(
-            self.n,
-            tuple(tuple(a - b for a, b in zip(u, v)) for u, v in zip(self.actions, other.actions)),
-        )
-
-    def __rmul__(self, scalar) -> "GeneralLinearValueMap":
-        c = Fraction(scalar)
-        return GeneralLinearValueMap(
-            self.n, tuple(tuple(c * a for a in vec) for vec in self.actions)
-        )
 
 
 def profile_from_general(vmap: GeneralLinearValueMap) -> SymmetricValueProfile:
@@ -356,24 +290,17 @@ def profile_from_general(vmap: GeneralLinearValueMap) -> SymmetricValueProfile:
         vec = vmap.actions[mask - 1]
         members = [i for i in range(n) if mask >> i & 1]
         outsiders = [i for i in range(n) if not mask >> i & 1]
+        for group, role in ((members, "members"), (outsiders, "non-members")):
+            for i in group[1:]:
+                if vec[i] != vec[group[0]]:
+                    here = Coalition(mask, n)
+                    raise SymmetryViolation(
+                        f"payoff differs between {role} {group[0]} and {i} on unanimity game of {here}",
+                        here,
+                        here,
+                    )
         al = vec[members[0]]
-        for i in members[1:]:
-            if vec[i] != al:
-                here = Coalition(mask, n)
-                raise SymmetryViolation(
-                    f"payoff differs between members {members[0]} and {i} on unanimity game of {here}",
-                    here,
-                    here,
-                )
         be = vec[outsiders[0]] if outsiders else None
-        for i in outsiders[1:]:
-            if vec[i] != be:
-                here = Coalition(mask, n)
-                raise SymmetryViolation(
-                    f"payoff differs between non-members {outsiders[0]} and {i} on unanimity game of {here}",
-                    here,
-                    here,
-                )
         if a in first_mask:
             ref = first_mask[a]
             if al != alpha[a - 1] or (be is not None and be != beta[a - 1]):
@@ -388,80 +315,3 @@ def profile_from_general(vmap: GeneralLinearValueMap) -> SymmetricValueProfile:
             if be is not None:
                 beta[a - 1] = be
     return SymmetricValueProfile(n, tuple(alpha), tuple(beta))
-
-
-def shapley_oracle(game: Game) -> PayoffVector:
-    """Average marginal contribution over all player orderings, by full enumeration."""
-    n = game.n
-    if n > SHAPLEY_ORACLE_MAX_PLAYERS:
-        raise ValueError(f"permutation enumeration is capped at n={SHAPLEY_ORACLE_MAX_PLAYERS}, got {n}")
-    worths = [_ZERO, *game.worths]
-    totals = [_ZERO] * n
-    for perm in itertools.permutations(range(n)):
-        mask = 0
-        for i in perm:
-            grown = mask | (1 << i)
-            before, after = worths[mask], worths[grown]
-            if after != before:
-                totals[i] += after - before
-            mask = grown
-    count = factorial(n)
-    return tuple(t / count for t in totals)
-
-
-def banzhaf_oracle(game: Game) -> PayoffVector:
-    """Average marginal contribution over all coalitions of the other players."""
-    n = game.n
-    if n > BANZHAF_ORACLE_MAX_PLAYERS:
-        raise ValueError(f"subset enumeration is capped at n={BANZHAF_ORACLE_MAX_PLAYERS}, got {n}")
-    worths = [_ZERO, *game.worths]
-    scale = 1 << (n - 1)
-    result = []
-    for i in range(n):
-        bit = 1 << i
-        total = _ZERO
-        for mask in range(1 << n):
-            if mask & bit:
-                continue
-            before, after = worths[mask], worths[mask | bit]
-            if after != before:
-                total += after - before
-        result.append(total / scale)
-    return tuple(result)
-
-
-def solidarity_oracle(game: Game) -> PayoffVector:
-    """Definition sum of the solidarity value.
-
-    Each coalition containing a player contributes its within-coalition
-    average marginal contribution, weighted by (n-s)! (s-1)! / n!.
-    """
-    n = game.n
-    if n > SOLIDARITY_ORACLE_MAX_PLAYERS:
-        raise ValueError(f"coalition enumeration is capped at n={SOLIDARITY_ORACLE_MAX_PLAYERS}, got {n}")
-    worths = [_ZERO, *game.worths]
-    fact_n = factorial(n)
-    weight = [_ZERO] * (n + 1)
-    for s in range(1, n + 1):
-        weight[s] = Fraction(factorial(n - s) * factorial(s - 1), fact_n)
-    averaged = [_ZERO] * (1 << n)
-    for mask in range(1, 1 << n):
-        s = mask.bit_count()
-        total = _ZERO
-        rest = mask
-        while rest:
-            bit = rest & -rest
-            before, after = worths[mask ^ bit], worths[mask]
-            if after != before:
-                total += after - before
-            rest ^= bit
-        averaged[mask] = total / s
-    result = []
-    for i in range(n):
-        bit = 1 << i
-        total = _ZERO
-        for mask in range(1, 1 << n):
-            if mask & bit and averaged[mask]:
-                total += weight[mask.bit_count()] * averaged[mask]
-        result.append(total)
-    return tuple(result)

@@ -30,10 +30,15 @@ from .games import (
 from .geometry import (
     banzhaf_optimal_epsilon,
     esd_optimal_epsilon,
-    inner_L_general,
-    inner_L_in_basis,
     optimal_epsilon,
     projection_report,
+)
+from .reference import (
+    banzhaf_oracle,
+    inner_L_general,
+    inner_L_in_basis,
+    shapley_oracle,
+    solidarity_oracle,
 )
 from .strata import (
     generalized_pythagoras,
@@ -45,13 +50,10 @@ from .strata import (
 )
 from .values import (
     GeneralLinearValueMap,
-    banzhaf_oracle,
     egalitarian_shapley,
     evaluate,
     named_profile,
     profile_from_general,
-    shapley_oracle,
-    solidarity_oracle,
 )
 
 F = Fraction

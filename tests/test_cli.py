@@ -283,3 +283,33 @@ def test_eval_boolean_player_or_huge_exponent_is_input_error(tmp_path, flags, co
     )
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr.startswith("error: input:") and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "worth",
+    ["1" + "0" * 5000, '"' + "x" * 5000 + '"', '"1' + "0" * 5000 + '"', '"1e99999' + " " * 5000 + '"'],
+    ids=["integer-5001-digits", "string-5000-letters", "string-5001-digits", "string-padded-exponent"],
+)
+def test_eval_long_worth_literal_is_short_input_error(tmp_path, capsys, worth):
+    path = tmp_path / "game.json"
+    path.write_text(f'{{"n": 2, "coalitions": [{{"players": [0], "worth": {worth}}}]}}')
+    code, out, err = run(capsys, ["eval", "--value", "sh", "--game", str(path)])
+    assert code == 3 and out == ""
+    assert err.startswith("error: input:") and len(err) < 300
+    assert "Traceback" not in err and "set_int_max_str_digits" not in err
+
+
+def test_verify_is_identical_under_optimized_interpreter():
+    src = str(Path(valuegeom.__file__).resolve().parents[1])
+    outputs = []
+    for flags in (["-O"], []):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "valuegeom", "verify"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    lines = outputs[0].splitlines()
+    assert len(lines) == 75 and all(line.startswith("PASS  ") for line in lines[:74])
+    assert lines[74] == "74 checks: 74 passed, 0 failed"

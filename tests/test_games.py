@@ -9,16 +9,19 @@ from valuegeom import (
     Coalition,
     DividendVector,
     Game,
+    GeneralLinearValueMap,
     HOrthonormalBasis,
     dividends,
     from_dividends,
     harsanyi_inner,
+    named_profile,
     random_h_orthonormal_basis,
     rotate_pair,
     signed_permutation,
     unanimity,
     unanimity_basis,
 )
+from valuegeom.games import first_non_orthonormal_pair
 from util import dividends_by_inclusion_exclusion, random_game, rational, wide_game
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=12)
@@ -251,3 +254,26 @@ def test_wide_denominator_games_roundtrip_and_inner_product():
         dg = dividends_by_inclusion_exclusion(g).dividends
         dh = dividends_by_inclusion_exclusion(h).dividends
         assert harsanyi_inner(g, h) == sum(a * b for a, b in zip(dg, dh))
+
+
+def test_vector_operations_agree_across_coordinate_types():
+    rng = random.Random(4)
+    sh, bz = named_profile("sh", 4), named_profile("bz", 4)
+    pairs = [
+        (random_game(rng, 3), random_game(rng, 3)),
+        (sh, bz),
+        (GeneralLinearValueMap.from_profile(sh), GeneralLinearValueMap.from_profile(bz)),
+    ]
+    for a, b in pairs:
+        assert type(a + b) is type(a) and (a + b) - b == a
+        assert -a == (-1) * a and a - b == a + F(-1) * b
+        assert F(2, 3) * (a + b) == F(2, 3) * a + F(2, 3) * b
+    with pytest.raises(ValueError, match="player counts differ: 4 vs 5"):
+        sh - named_profile("sh", 5)
+
+
+def test_first_non_orthonormal_pair():
+    rows = [(F(1), F(0)), (F(0), F(1))]
+    assert first_non_orthonormal_pair(rows) is None
+    assert first_non_orthonormal_pair([(F(1), F(0)), (F(1), F(1))]) == (0, 1, F(1), F(0))
+    assert first_non_orthonormal_pair([(F(1, 2), F(0)), (F(0), F(1))]) == (0, 0, F(1, 4), F(1))

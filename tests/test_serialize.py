@@ -192,3 +192,30 @@ def test_shared_worth_literal_is_per_document():
     second = game_from_json('{"n": 2, "coalitions": [{"players": [0], "worth": "3/7"}, {"players": [1], "worth": "-3/7"}]}')
     assert second.worths == (F(3, 7), F(-3, 7), F(0))
     assert second.worth(0b01) is not first.worth(0b01)
+
+
+def test_game_from_json_integer_beyond_digit_limit_is_input_error():
+    digits = "1" + "0" * 5000
+    for text in (
+        f'{{"n": 2, "coalitions": [{{"players": [0], "worth": {digits}}}]}}',
+        f'{{"n": {digits}, "coalitions": []}}',
+    ):
+        with pytest.raises(GameInputError, match="invalid JSON: an integer longer than 4300 digits") as info:
+            game_from_json(text)
+        assert "set_int_max_str_digits" not in str(info.value)
+
+
+def test_game_from_json_long_bad_literal_is_quoted_short():
+    for worth in ("x" * 5000, "1" + "0" * 5000, "1e" + "9" * 5000):
+        with pytest.raises(GameInputError, match="cannot parse rational") as info:
+            game_from_json(f'{{"n": 2, "coalitions": [{{"players": [0], "worth": "{worth}"}}]}}')
+        assert len(str(info.value)) < 120 and f"({len(worth)} characters)" in str(info.value)
+    padded = "1e99999" + " " * 5000
+    with pytest.raises(GameInputError, match="decimal exponent") as info:
+        game_from_json(f'{{"n": 2, "coalitions": [{{"players": [0], "worth": "{padded}"}}]}}')
+    assert len(str(info.value)) < 120
+    with pytest.raises(GameInputError, match="cannot parse rational") as info:
+        game_from_json(f'{{"n": 2, "coalitions": [{{"players": [0], "worth": {list(range(2000))}}}]}}')
+    assert len(str(info.value)) < 120
+    with pytest.raises(GameInputError, match=r"^cannot parse rational 'x'$"):
+        parse_rational("x")

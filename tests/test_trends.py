@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 from decimal import Decimal
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import valuegeom
 from valuegeom import (
     axis_norm_sq,
     banzhaf_optimal_epsilon,
@@ -160,3 +165,23 @@ def test_trend_table_rejects_bad_range():
         trend_table(["bz"], 5, 4)
     with pytest.raises(ValueError):
         trend_table(["bz"], 2, 31)
+
+
+def test_cross_checks_raise_under_optimized_interpreter():
+    code = (
+        "from fractions import Fraction\n"
+        "import valuegeom.combinatorics as c\n"
+        "assert False, 'asserts are stripped under -O'\n"
+        "c.harmonic_number = lambda n: Fraction(1, 3)\n"
+        "try:\n"
+        "    c.binomial_harmonic_sum(5)\n"
+        "except c.ConsistencyError as exc:\n"
+        "    print('raised:', exc)\n"
+    )
+    src = str(Path(valuegeom.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised: binomial harmonic sum")
