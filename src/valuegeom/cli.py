@@ -2,7 +2,8 @@
 
 Subcommands: tabulate, project, strata, fit, trends, eval, basis-check,
 verify. Exit codes: 0 success, 1 verification failure, 2 usage error,
-3 input error (malformed game JSON, unknown target, precondition failure).
+3 input error (malformed game JSON, unknown target, player count out of
+range, unreadable game path, a result too large for a JSON float).
 All output is deterministic for fixed flags and seed.
 """
 
@@ -16,6 +17,7 @@ from fractions import Fraction
 from .fitting import gram_fit, mixture_profile
 from .games import random_h_orthonormal_basis
 from .geometry import projection_report
+from .limits import MAX_TABULATE_PLAYERS, _require
 from .reference import inner_L_general, inner_L_in_basis
 from .serialize import fraction_str, load_game, rational_to_json
 from .strata import stratified_coords, weighted_moments, weights
@@ -35,8 +37,7 @@ def _cell(x: Fraction) -> str:
 
 def cmd_tabulate(args) -> int:
     n = args.n
-    if not 2 <= n <= 20:
-        raise ValueError(f"tabulate supports n in [2, 20], got {n}")
+    _require(n, MAX_TABULATE_PLAYERS)
     reports = [projection_report(named_profile(kind, n), kind) for kind in PROFILE_KINDS]
     if args.format == "json":
         _print_json({"n": n, "rows": [vars(r) for r in reports]})
@@ -281,7 +282,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, OverflowError, ValueError) as exc:
         print(f"error: input: {exc}", file=sys.stderr)
         return 3
 

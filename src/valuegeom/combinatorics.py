@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-MAX_SUM_INDEX = 64
+from .limits import MAX_CLOSED_FORM_PLAYERS, _require
 
 
 class ConsistencyError(AssertionError):
@@ -25,15 +25,10 @@ def _check(ok: bool, what: str) -> None:
         raise ConsistencyError(what)
 
 
-def _check_index(n: int, low: int = 1) -> None:
-    if not low <= n <= MAX_SUM_INDEX:
-        raise ValueError(f"argument must be in [{low}, {MAX_SUM_INDEX}], got {n}")
-
-
 @lru_cache(maxsize=None)
 def harmonic_number(n: int) -> Fraction:
     """Sum of 1/j for j = 1..n."""
-    _check_index(n)
+    _require(n, MAX_CLOSED_FORM_PLAYERS, "index", low=1)
     total = Fraction(0)
     for j in range(1, n + 1):
         total += Fraction(1, j)
@@ -47,7 +42,7 @@ def binomial_harmonic_sum(n: int) -> Fraction:
     Evaluated both as the direct binomial sum and as
     sum(2^j / j) - sum(1 / j); the two must agree exactly.
     """
-    _check_index(n)
+    _require(n, MAX_CLOSED_FORM_PLAYERS, "index", low=1)
     direct = Fraction(0)
     for a in range(1, n + 1):
         direct += Fraction(comb(n, a), a)
@@ -65,7 +60,7 @@ def axis_norm_sq(n: int) -> Fraction:
     Equals sum over a of C(n, a) * (1/a - 1/n), and also
     binomial_harmonic_sum(n) - (2^n - 1)/n; both are computed and compared.
     """
-    _check_index(n, low=2)
+    _require(n, MAX_CLOSED_FORM_PLAYERS)
     via_sum = Fraction(0)
     for a in range(1, n + 1):
         via_sum += comb(n, a) * (Fraction(1, a) - Fraction(1, n))
@@ -82,7 +77,7 @@ def power_harmonic_sum(n: int) -> Fraction:
     axis_norm_sq(n) = power_harmonic_sum(n) + 1/n - harmonic_number(n)
     is checked on every call.
     """
-    _check_index(n)
+    _require(n, MAX_CLOSED_FORM_PLAYERS, "index", low=1)
     total = Fraction(0)
     for j in range(1, n):
         total += Fraction(1 << j, j)
@@ -98,9 +93,8 @@ def solidarity_stratum_epsilon(a: int, n: int) -> Fraction:
     Three equivalent finite sums are evaluated and checked equal, plus the
     clean special cases at a = 1, a = n-1, and a = n-2.
     """
-    if not 1 <= a <= n - 1:
-        raise ValueError(f"size must satisfy 1 <= a <= n-1, got a={a}, n={n}")
-    _check_index(n, low=2)
+    _require(n, MAX_CLOSED_FORM_PLAYERS)
+    _require(a, n - 1, "size", low=1)
 
     direct = Fraction(0)
     for s in range(a + 1, n + 1):

@@ -19,18 +19,8 @@ from math import lcm
 from operator import add, countOf, mul, neg, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
-MIN_PLAYERS = 2
-MAX_PLAYERS = 30
-
-#: Largest decimal exponent, in absolute value, of a worth literal such as
-#: ``"1e300"``. Reading ``10**e`` exactly costs time superlinear in ``e``, so
-#: a larger exponent is refused before any digits are built; 4300 matches
-#: CPython's default limit on the digits of an int read from a string.
-MAX_WORTH_EXPONENT = 4300
-
-#: Largest player count for random basis generation; a basis has
-#: (2^n - 1)^2 rational coefficients, which grows fast.
-MAX_BASIS_PLAYERS = 5
+from .limits import MAX_BASIS_PLAYERS, MAX_PLAYERS, MIN_PLAYERS, _excerpt, _require
+from .limits import MAX_WORTH_EXPONENT  # noqa: F401  (still importable from this module)
 
 #: Integer triples (p, q, r) with p^2 + q^2 = r^2. The pairs (p/r, q/r) are
 #: exact cosine/sine values, so plane rotations built from them stay rational.
@@ -38,11 +28,6 @@ PYTHAGOREAN_TRIPLES = ((3, 4, 5), (5, 12, 13), (8, 15, 17), (7, 24, 25), (20, 21
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-def _check_player_count(n: int) -> None:
-    if not MIN_PLAYERS <= n <= MAX_PLAYERS:
-        raise ValueError(f"player count must be in [{MIN_PLAYERS}, {MAX_PLAYERS}], got {n}")
 
 
 def _require_same_n(*ns: int) -> None:
@@ -57,7 +42,7 @@ def _require_same_n(*ns: int) -> None:
 
 def _require_coalition_count(items: Sequence, n: int, what: str) -> None:
     """Refuse a player count out of range, or other than one item per nonempty coalition."""
-    _check_player_count(n)
+    _require(n, MAX_PLAYERS)
     expected = (1 << n) - 1
     if len(items) != expected:
         raise ValueError(f"expected {expected} {what} for n={n}, got {len(items)}")
@@ -124,7 +109,7 @@ def _coalition_bits(players: Sequence[int], n: int) -> int:
         if isinstance(p, bool):
             raise ValueError(f"player {p!r} is a boolean, not a player index")
         if not isinstance(p, int) or not 0 <= p < n:
-            raise ValueError(f"player {p!r} out of range for n={n}")
+            raise ValueError(f"player {_excerpt(p)} out of range for n={n}")
         if bits >> p & 1:
             raise ValueError(f"player {p} listed twice")
         bits |= 1 << p
@@ -132,7 +117,8 @@ def _coalition_bits(players: Sequence[int], n: int) -> int:
 
 
 def coalitions(n: int) -> Iterator[int]:
-    """All nonempty coalition bitmasks on n players, in ascending order."""
+    """All nonempty coalition bitmasks on n players, in ascending order; n is checked first."""
+    _require(n, MAX_PLAYERS)
     return iter(range(1, 1 << n))
 
 
@@ -144,7 +130,7 @@ class Coalition:
     n: int
 
     def __post_init__(self) -> None:
-        _check_player_count(self.n)
+        _require(self.n, MAX_PLAYERS)
         if not 0 <= self.bits < (1 << self.n):
             raise ValueError(f"coalition bits {self.bits} out of range for n={self.n}")
 
@@ -188,6 +174,7 @@ class Game(VectorOps):
 
     @classmethod
     def zero(cls, n: int) -> "Game":
+        _require(n, MAX_PLAYERS)
         return cls(n, ((_ZERO,) * ((1 << n) - 1)))
 
     @classmethod
@@ -212,7 +199,7 @@ class DividendVector:
 
 def unanimity(n: int, generators: "Coalition | int") -> Game:
     """The game worth 1 on coalitions containing all the generators, 0 elsewhere."""
-    _check_player_count(n)
+    _require(n, MAX_PLAYERS)
     bits = _as_bits(generators, n)
     if bits == 0:
         raise ValueError("unanimity generators must be a nonempty coalition")
@@ -347,7 +334,6 @@ def _dot(u: Iterable[Fraction], v: Iterable[Fraction]) -> Fraction:
 
 def unanimity_basis(n: int) -> HOrthonormalBasis:
     """The canonical orthonormal basis made of all unanimity games."""
-    _check_player_count(n)
     return HOrthonormalBasis(n, tuple(unanimity(n, m) for m in coalitions(n)), "unanimity basis")
 
 
@@ -389,8 +375,7 @@ def random_h_orthonormal_basis(
     seed-derived sequence of rational plane rotations. With ``rotations=0``
     and ``permute=False`` the unanimity basis itself comes back.
     """
-    if not MIN_PLAYERS <= n <= MAX_BASIS_PLAYERS:
-        raise ValueError(f"random bases are supported for n in [{MIN_PLAYERS}, {MAX_BASIS_PLAYERS}], got {n}")
+    _require(n, MAX_BASIS_PLAYERS, "random basis player count")
     rng = random.Random(seed)
     d = (1 << n) - 1
     basis = unanimity_basis(n)

@@ -50,16 +50,13 @@ def optimal_epsilon(target: SymmetricValueProfile) -> Fraction:
 
 def banzhaf_optimal_epsilon(n: int) -> Fraction:
     """Closed form of the optimal mixing parameter for the Banzhaf value."""
-    if n < 2:
-        raise ValueError(f"player count must be at least 2, got {n}")
+    norm = axis_norm_sq(n)  # checks n before 3 ** (n - 1) is built
     gap = 2 - 2 * Fraction(3 ** (n - 1), 2 ** (n - 1))
-    return 1 + gap / axis_norm_sq(n)
+    return 1 + gap / norm
 
 
 def esd_optimal_epsilon(n: int) -> Fraction:
     """Closed form of the optimal mixing parameter for equal surplus division."""
-    if n < 2:
-        raise ValueError(f"player count must be at least 2, got {n}")
     return 1 - Fraction(n - 1) / axis_norm_sq(n)
 
 

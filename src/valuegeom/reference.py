@@ -15,20 +15,9 @@ from fractions import Fraction
 from math import factorial
 
 from .games import Game, HOrthonormalBasis, _dot, _require_same_n, coalitions, first_non_orthonormal_pair
+from .limits import BANZHAF_ORACLE_MAX_PLAYERS, MAX_ENUMERATION_PLAYERS, MAX_GENERAL_MAP_PLAYERS
+from .limits import SHAPLEY_ORACLE_MAX_PLAYERS, SOLIDARITY_ORACLE_MAX_PLAYERS, _require
 from .values import GeneralLinearValueMap, PayoffVector, SymmetricValueProfile
-
-#: Hard caps keeping the definition-sum oracles inside a sane runtime.
-#: These are configuration constants, never silent truncations: exceeding a
-#: cap raises.
-SHAPLEY_ORACLE_MAX_PLAYERS = 8
-BANZHAF_ORACLE_MAX_PLAYERS = 20
-SOLIDARITY_ORACLE_MAX_PLAYERS = 12
-
-#: Direct coalition enumeration is kept as a cross-check up to this size.
-MAX_ENUMERATION_PLAYERS = 12
-
-#: General (non-symmetric) maps carry n * (2^n - 1) rationals; cap their use.
-MAX_GENERAL_MAP_PLAYERS = 6
 
 _ZERO = Fraction(0)
 
@@ -36,8 +25,7 @@ _ZERO = Fraction(0)
 def shapley_oracle(game: Game) -> PayoffVector:
     """Average marginal contribution over all player orderings, by full enumeration."""
     n = game.n
-    if n > SHAPLEY_ORACLE_MAX_PLAYERS:
-        raise ValueError(f"permutation enumeration is capped at n={SHAPLEY_ORACLE_MAX_PLAYERS}, got {n}")
+    _require(n, SHAPLEY_ORACLE_MAX_PLAYERS, "permutation enumeration player count")
     worths = [_ZERO, *game.worths]
     totals = [_ZERO] * n
     for perm in itertools.permutations(range(n)):
@@ -55,8 +43,7 @@ def shapley_oracle(game: Game) -> PayoffVector:
 def banzhaf_oracle(game: Game) -> PayoffVector:
     """Average marginal contribution over all coalitions of the other players."""
     n = game.n
-    if n > BANZHAF_ORACLE_MAX_PLAYERS:
-        raise ValueError(f"subset enumeration is capped at n={BANZHAF_ORACLE_MAX_PLAYERS}, got {n}")
+    _require(n, BANZHAF_ORACLE_MAX_PLAYERS, "subset enumeration player count")
     worths = [_ZERO, *game.worths]
     scale = 1 << (n - 1)
     result = []
@@ -80,8 +67,7 @@ def solidarity_oracle(game: Game) -> PayoffVector:
     average marginal contribution, weighted by (n-s)! (s-1)! / n!.
     """
     n = game.n
-    if n > SOLIDARITY_ORACLE_MAX_PLAYERS:
-        raise ValueError(f"coalition enumeration is capped at n={SOLIDARITY_ORACLE_MAX_PLAYERS}, got {n}")
+    _require(n, SOLIDARITY_ORACLE_MAX_PLAYERS, "coalition enumeration player count")
     worths = [_ZERO, *game.worths]
     fact_n = factorial(n)
     weight = [_ZERO] * (n + 1)
@@ -113,16 +99,14 @@ def solidarity_oracle(game: Game) -> PayoffVector:
 def inner_L_by_enumeration(p: SymmetricValueProfile, q: SymmetricValueProfile) -> Fraction:
     """Same inner product as `geometry.inner_L`, summed payoff-by-payoff over every coalition."""
     _require_same_n(p.n, q.n)
-    if p.n > MAX_ENUMERATION_PLAYERS:
-        raise ValueError(f"enumeration path is capped at n={MAX_ENUMERATION_PLAYERS}, got {p.n}")
+    _require(p.n, MAX_ENUMERATION_PLAYERS, "enumeration player count")
     return sum((_dot(p.unanimity_payoff(mask), q.unanimity_payoff(mask)) for mask in coalitions(p.n)), _ZERO)
 
 
 def inner_L_general(p: GeneralLinearValueMap, q: GeneralLinearValueMap) -> Fraction:
     """Inner product of two general linear maps, summed over all unanimity games."""
     _require_same_n(p.n, q.n)
-    if p.n > MAX_GENERAL_MAP_PLAYERS:
-        raise ValueError(f"general maps are capped at n={MAX_GENERAL_MAP_PLAYERS}, got {p.n}")
+    _require(p.n, MAX_GENERAL_MAP_PLAYERS, "general map player count")
     return sum(map(_dot, p.actions, q.actions), _ZERO)
 
 

@@ -12,18 +12,12 @@ meets them.
 from __future__ import annotations
 
 import json
-import re
 import sys
 from fractions import Fraction
 from typing import Any
 
-from .games import MAX_PLAYERS, MAX_WORTH_EXPONENT, MIN_PLAYERS, Coalition, Game, _coalition_bits
-
-# The exponent of a decimal literal, in the grammar `Fraction` reads it.
-_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
-
-#: How many characters of an offending literal an error message repeats.
-_EXCERPT_CHARS = 40
+from .games import Coalition, Game, _coalition_bits
+from .limits import MAX_PLAYERS, _check_exponent, _excerpt, _require
 
 
 class GameInputError(ValueError):
@@ -55,7 +49,7 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        _check_exponent(value)
+        _check_exponent(value, "worth", GameInputError)
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -65,27 +59,6 @@ def parse_rational(value) -> Fraction:
         # their decimal intent is unrecoverable, so refuse.
         raise GameInputError("float worths must come through the JSON text parser")
     raise GameInputError(f"cannot parse rational {_excerpt(value)}")
-
-
-def _excerpt(value) -> str:
-    """``repr(value)``, or its first characters and its length when it is long."""
-    text = value if isinstance(value, str) else repr(value)
-    if len(text) <= _EXCERPT_CHARS:
-        return repr(value)
-    return f"{text[:_EXCERPT_CHARS] + '…'!r} ({len(text)} characters)"
-
-
-def _check_exponent(literal: str) -> None:
-    """Refuse a decimal literal whose exponent exceeds `MAX_WORTH_EXPONENT`."""
-    match = _EXPONENT.search(literal)
-    if match is None:
-        return
-    try:
-        exponent = int(match[1])
-    except ValueError:
-        return  # too many digits for int(); Fraction fails on it the same way
-    if abs(exponent) > MAX_WORTH_EXPONENT:
-        raise GameInputError(f"worth {_excerpt(literal)} has a decimal exponent beyond ±{MAX_WORTH_EXPONENT}")
 
 
 def game_from_json(text: str) -> Game:
@@ -113,6 +86,8 @@ def game_from_json(text: str) -> Game:
         raise
     except json.JSONDecodeError as exc:
         raise GameInputError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise GameInputError("invalid JSON: nested too deeply") from exc
     except ValueError as exc:
         # The one other refusal of json.loads: an integer literal longer than
         # the interpreter's limit on digits converted from a string.
@@ -125,8 +100,7 @@ def game_from_json(text: str) -> Game:
     entries = data.get("coalitions", [])
     if not isinstance(entries, list):
         raise GameInputError("field 'coalitions' must be a list")
-    if not MIN_PLAYERS <= n <= MAX_PLAYERS:
-        raise GameInputError(f"player count must be in [{MIN_PLAYERS}, {MAX_PLAYERS}], got {n}")
+    _require(n, MAX_PLAYERS, error=GameInputError)
     worths = [Fraction(0)] * ((1 << n) - 1)
     seen: set[int] = set()
     # Keyed by str only: true, 1 and "1" are equal as dict keys but must not

@@ -20,6 +20,7 @@ from typing import NamedTuple, Sequence
 from .combinatorics import _check, axis_norm_sq
 from .games import _require_same_n
 from .geometry import inner_L
+from .limits import MAX_CLOSED_FORM_PLAYERS, _require
 from .values import SymmetricValueProfile, named_profile
 
 _ZERO = Fraction(0)
@@ -43,8 +44,7 @@ class StratifiedCoordinates:
     top_dev_sq: Fraction
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"player count must be at least 2, got {self.n}")
+        _require(self.n, MAX_CLOSED_FORM_PLAYERS)
         if len(self.eps) != self.n - 1 or len(self.delta) != self.n - 1:
             raise ValueError(f"expected {self.n - 1} coefficients per sequence")
 
@@ -133,8 +133,6 @@ def weights(n: int) -> StratumWeights:
     The weights are positive and sum to 1 exactly, so they define a
     probability distribution on sizes 1..n-1.
     """
-    if n < 2:
-        raise ValueError(f"player count must be at least 2, got {n}")
     dn = axis_norm_sq(n)
     w = tuple(comb(n, a) * (Fraction(1, a) - Fraction(1, n)) / dn for a in range(1, n))
     _check(sum(w) == 1, "size weights sum to one")

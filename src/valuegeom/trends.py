@@ -12,10 +12,8 @@ from typing import Sequence
 
 from .combinatorics import _check, axis_norm_sq
 from .geometry import projection_report
+from .limits import MAX_TREND_PLAYERS, _require
 from .values import profile_for_token
-
-MIN_TREND_PLAYERS = 2
-MAX_TREND_PLAYERS = 30
 
 
 @dataclass(frozen=True)
@@ -39,10 +37,8 @@ def trend_table(targets: Sequence[str], n_min: int, n_max: int) -> list[TrendRow
     (at n = 2 that target coincides with the Shapley value and r2 is 1 by
     convention).
     """
-    if not MIN_TREND_PLAYERS <= n_min <= n_max <= MAX_TREND_PLAYERS:
-        raise ValueError(
-            f"need {MIN_TREND_PLAYERS} <= n_min <= n_max <= {MAX_TREND_PLAYERS}, got [{n_min}, {n_max}]"
-        )
+    _require(n_min, MAX_TREND_PLAYERS, "smallest player count")
+    _require(n_max, MAX_TREND_PLAYERS, "largest player count", low=n_min)
     rows: list[TrendRow] = []
     for n in range(n_min, n_max + 1):
         for token in targets:

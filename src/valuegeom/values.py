@@ -36,6 +36,7 @@ from .games import (
     coalitions,
     integer_subset_transform,
 )
+from .limits import MAX_CLOSED_FORM_PLAYERS, _check_exponent, _require
 
 PayoffVector = tuple[Fraction, ...]
 
@@ -69,8 +70,7 @@ class SymmetricValueProfile(VectorOps):
     beta: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"player count must be at least 2, got {self.n}")
+        _require(self.n, MAX_CLOSED_FORM_PLAYERS)
         if len(self.alpha) != self.n:
             raise ValueError(f"expected {self.n} alpha entries, got {len(self.alpha)}")
         if len(self.beta) != self.n - 1:
@@ -109,8 +109,7 @@ def named_profile(kind: str, n: int) -> SymmetricValueProfile:
     Kinds: ``sh`` Shapley, ``ed`` equal division, ``bz`` Banzhaf, ``esd``
     equal surplus division, ``so`` solidarity.
     """
-    if n < 2:
-        raise ValueError(f"player count must be at least 2, got {n}")
+    _require(n, MAX_CLOSED_FORM_PLAYERS)
     if kind == "sh":
         alpha = tuple(Fraction(1, a) for a in range(1, n + 1))
         beta = (_ZERO,) * (n - 1)
@@ -156,6 +155,7 @@ def profile_for_token(token: str, n: int) -> SymmetricValueProfile:
     if token in PROFILE_KINDS:
         return named_profile(token, n)
     if token.startswith("f:"):
+        _check_exponent(token[2:], "mixing parameter")
         try:
             eps = Fraction(token[2:])
         except (ValueError, ZeroDivisionError) as exc:
@@ -238,8 +238,6 @@ class GeneralLinearValueMap(VectorOps):
     actions: tuple[PayoffVector, ...]
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"player count must be at least 2, got {self.n}")
         _require_coalition_count(self.actions, self.n, "unanimity payoffs")
         for vec in self.actions:
             if len(vec) != self.n:
