@@ -3,7 +3,10 @@
 Subcommands: tabulate, project, strata, fit, trends, eval, basis-check,
 verify. Exit codes: 0 success, 1 verification failure, 2 usage error,
 3 input error (malformed game JSON, unknown target, player count out of
-range, unreadable game path, a result too large for a JSON float).
+range, a game beyond the memory budget, unreadable game path, a result too
+large for a JSON float), 141 standard output closed by its reader (as in
+``valuegeom tabulate --n 20 | head -1``; 128 + SIGPIPE, what a shell
+reports for a writer the signal ends), with nothing printed to stderr.
 All output is deterministic for fixed flags and seed.
 """
 
@@ -11,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -24,6 +28,9 @@ from .strata import stratified_coords, weighted_moments, weights
 from .trends import trend_csv, trend_table
 from .values import PROFILE_KINDS, GeneralLinearValueMap, evaluate, named_profile, profile_for_token
 from .verification import run_all_checks
+
+#: Exit code when the reader of standard output closes it early.
+EXIT_BROKEN_PIPE = 141
 
 
 def _print_json(obj) -> None:
@@ -281,7 +288,17 @@ def main(argv=None) -> int:
         # argparse has already printed its message; keep --help at 0
         return 0 if exc.code in (0, None) else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # The reader stopped early; that is not an input error. Point stdout
+        # at the null device so the flush at exit does not fail again.
+        try:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except (OSError, ValueError):
+            pass
+        return EXIT_BROKEN_PIPE
     except (OSError, OverflowError, ValueError) as exc:
         print(f"error: input: {exc}", file=sys.stderr)
         return 3

@@ -1,9 +1,14 @@
 """Exact TU-game primitives: coalitions, games, dividends, orthonormal bases.
 
 Players are indexed 0..n-1 and coalitions are bitmasks (bit i set means
-player i belongs). Every worth and dividend is a `fractions.Fraction`;
-nothing in this module rounds. The worth of the empty coalition is not
-stored, it is structurally zero.
+player i belongs). Nothing in this module rounds.
+
+A `Game` stores its worths as integers over one positive denominator:
+``scaled[m] / den`` is the worth of bitmask m, and ``scaled[0]``, the empty
+coalition's, is always 0. The integers and the denominator share no common
+factor, so equal worths give equal fields. The subset transform and the
+value maps read those integers directly; `Game.worths`, the `Fraction`
+view, is built only when something asks for it.
 
 All types are immutable after construction and all functions are pure, so
 values can be shared freely across threads.
@@ -14,12 +19,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from functools import partial
-from math import lcm
-from operator import add, countOf, mul, neg, sub
+from functools import cached_property, partial
+from itertools import islice
+from math import gcd, lcm
+from operator import add, mul, neg, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .limits import MAX_BASIS_PLAYERS, MAX_PLAYERS, MIN_PLAYERS, _excerpt, _require
+from .limits import MAX_BASIS_PLAYERS, MAX_PLAYERS, MIN_PLAYERS, _excerpt, _require, _require_game_size
 from .limits import MAX_WORTH_EXPONENT  # noqa: F401  (still importable from this module)
 
 #: Integer triples (p, q, r) with p^2 + q^2 = r^2. The pairs (p/r, q/r) are
@@ -58,7 +64,8 @@ def _pointwise(op: Callable, *vectors: tuple) -> tuple:
 class VectorOps:
     """Pointwise ``+``, ``-``, scalar ``*`` and unary ``-`` for frozen dataclasses
     whose first field is ``n`` and whose other fields are (nested) tuples of
-    rationals; each operation builds a new instance of the same class."""
+    rationals; each operation builds a new instance of the same class.
+    `Game` overrides `_combine` and ``__rmul__`` to work on its integers."""
 
     def _combine(self, op: Callable, *others):
         _require_same_n(self.n, *(o.n for o in others))
@@ -79,8 +86,8 @@ class VectorOps:
 
 
 #: For each valid player count n, the bit of each player index 0..n-1. Only
-#: ints that are keys here are valid players, so a lookup rejects negative and
-#: out-of-range indices in C.
+#: exact ints that are keys here are valid players, so the game parser's
+#: lookup rejects negative and out-of-range indices in C.
 _PLAYER_BITS = {n: {i: 1 << i for i in range(n)} for n in range(MIN_PLAYERS, MAX_PLAYERS + 1)}
 
 
@@ -89,21 +96,9 @@ def _coalition_bits(players: Sequence[int], n: int) -> int:
 
     Raises ``ValueError`` naming the first player, in list order, that is
     not an int in range (a bool is not a player index) or is listed twice.
-    Used by `Coalition.from_players` and, once per coalition entry, by the
-    game parser; private because the per-layer benchmark tracer wraps every
-    public function, and a wrapper per entry would cost more than the work.
+    Used by `Coalition.from_players` and by the game parser's error path;
+    the parser's success path checks all entries at once instead.
     """
-    # Fast path, all in C: exact ints that are all valid keys, and as many set
-    # bits as players, so none is repeated. Anything else takes the loop below,
-    # which finds the offending player for the message.
-    size = len(players)
-    try:
-        if countOf(map(type, players), int) == size:
-            bits = sum(map(_PLAYER_BITS[n].__getitem__, players))
-            if bits.bit_count() == size:
-                return bits
-    except KeyError:
-        pass
     bits = 0
     for p in players:
         if isinstance(p, bool):
@@ -159,31 +154,86 @@ def _as_bits(generators: "Coalition | int", n: int) -> int:
     return int(generators)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Game(VectorOps):
-    """A TU game: exact worths indexed by nonempty coalition bitmask.
+    """A TU game: exact worths indexed by coalition bitmask.
 
-    ``worths[m - 1]`` is the worth of the coalition with bitmask ``m``.
+    ``scaled[m] / den`` is the worth of the coalition with bitmask ``m``;
+    ``scaled`` has 2^n entries and ``scaled[0] == 0``. ``den`` is positive
+    and the gcd of ``den`` and every entry is 1, so equality and hashing
+    mean "same worths". ``Game(n, worths)`` takes the 2^n - 1 rationals of
+    the nonempty coalitions in bitmask order and clears their denominators
+    once; ``worths[m - 1]`` gives them back as `Fraction`s.
     """
 
     n: int
-    worths: tuple[Fraction, ...]
+    scaled: tuple[int, ...]
+    den: int
 
-    def __post_init__(self) -> None:
-        _require_coalition_count(self.worths, self.n, "worths")
+    def __init__(self, n: int, worths: Sequence[Fraction]) -> None:
+        _require_game_size(n)
+        _require_coalition_count(worths, n, "worths")
+        scaled, den = clear_denominators(worths)
+        self._store(n, [0, *scaled], den)
+
+    @classmethod
+    def _from_scaled(cls, n: int, scaled: Iterable[int], den: int) -> "Game":
+        """The game worth ``scaled[m] / den`` on each bitmask m, for 2^n integers with ``scaled[0] == 0``.
+
+        The caller guarantees ``den > 0`` and that ``den`` and the entries
+        share no common factor. `clear_denominators` of reduced fractions
+        guarantees it: for each prime, the denominator holding its highest
+        power leaves the prime out of its own scaled numerator. The subset
+        transform keeps it, since its inverse has integer coefficients too.
+        Sums and scalings of games need `_reduced`.
+        """
+        game = cls.__new__(cls)
+        game._store(n, scaled, den)
+        return game
+
+    def _store(self, n: int, scaled: Iterable[int], den: int) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "scaled", tuple(scaled))
+        object.__setattr__(self, "den", den)
 
     @classmethod
     def zero(cls, n: int) -> "Game":
-        _require(n, MAX_PLAYERS)
-        return cls(n, ((_ZERO,) * ((1 << n) - 1)))
+        _require_game_size(n)
+        return cls._from_scaled(n, [0] * (1 << n), 1)
 
     @classmethod
     def from_function(cls, n: int, worth: Callable[[int], Fraction]) -> "Game":
         """Build a game from a function of the coalition bitmask."""
+        _require_game_size(n)
         return cls(n, tuple(Fraction(worth(m)) for m in coalitions(n)))
 
+    @cached_property
+    def worths(self) -> tuple[Fraction, ...]:
+        """``worths[m - 1]`` is the worth of bitmask m; one `Fraction` per distinct worth."""
+        table = {x: Fraction(x, self.den) for x in set(self.scaled)}
+        return tuple(map(table.__getitem__, islice(self.scaled, 1, None)))
+
     def worth(self, bits: int) -> Fraction:
-        return _ZERO if bits == 0 else self.worths[bits - 1]
+        return self.worths[bits - 1] if bits else _ZERO
+
+    def _combine(self, op: Callable, *others: "Game") -> "Game":
+        """``op`` on the integers of all games brought to one denominator (``+``, ``-``, unary ``-``)."""
+        _require_same_n(self.n, *(g.n for g in others))
+        den = lcm(self.den, *(g.den for g in others))
+        columns = (g.scaled if g.den == den else [x * (den // g.den) for x in g.scaled] for g in (self, *others))
+        return Game._from_scaled(self.n, *_reduced(list(map(op, *columns)), den))
+
+    def __rmul__(self, scalar) -> "Game":
+        s = Fraction(scalar)
+        return Game._from_scaled(self.n, *_reduced([x * s.numerator for x in self.scaled], self.den * s.denominator))
+
+
+def _reduced(scaled: list[int], den: int) -> tuple[list[int], int]:
+    """``scaled`` and ``den`` divided by their greatest common divisor."""
+    common = gcd(den, *scaled)
+    if common == 1:
+        return scaled, den
+    return [x // common for x in scaled], den // common
 
 
 @dataclass(frozen=True)
@@ -199,25 +249,26 @@ class DividendVector:
 
 def unanimity(n: int, generators: "Coalition | int") -> Game:
     """The game worth 1 on coalitions containing all the generators, 0 elsewhere."""
-    _require(n, MAX_PLAYERS)
+    _require_game_size(n)
     bits = _as_bits(generators, n)
     if bits == 0:
         raise ValueError("unanimity generators must be a nonempty coalition")
     if not bits < (1 << n):
         raise ValueError(f"generator bits {bits} out of range for n={n}")
-    return Game(n, tuple(_ONE if m & bits == bits else _ZERO for m in coalitions(n)))
+    return Game._from_scaled(n, [int(m & bits == bits) for m in range(1 << n)], 1)
 
 
 def clear_denominators(values: Sequence[Fraction]) -> tuple[list[int], int]:
     """Integers ``x`` and one common denominator ``d`` with ``values[k] == x[k] / d``.
 
     ``d`` is the lcm of the denominators, so only distinct denominators
-    cost a division.
+    cost a division, and each value's denominator is read once.
     """
-    dens = {v.denominator for v in values}
-    den = lcm(*dens)
-    scale = {q: den // q for q in dens}
-    return [v.numerator * scale[v.denominator] for v in values], den
+    dens = [v.denominator for v in values]
+    distinct = set(dens)
+    den = lcm(*distinct)
+    scale = {q: den // q for q in distinct}
+    return list(map(mul, [v.numerator for v in values], map(scale.__getitem__, dens))), den
 
 
 def _as_fractions(values: Iterable[int], den: int) -> tuple[Fraction, ...]:
@@ -225,18 +276,16 @@ def _as_fractions(values: Iterable[int], den: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(x, den) if x else _ZERO for x in values)
 
 
-def integer_subset_transform(values: Sequence[Fraction], n: int, sign: int) -> tuple[list[int], int]:
-    """The fast subset transform of one rational per nonempty bitmask, on integers.
+def integer_subset_transform(values: Iterable[int], n: int, sign: int) -> list[int]:
+    """The fast subset transform of one integer per bitmask, entry 0 included.
 
-    The values are scaled by the lcm ``d`` of their denominators, then, in
-    place and bit by bit, ``f[m] += sign * f[m without the bit]`` runs on
-    every mask holding the bit: O(2^n * n) integer operations. With
-    ``sign=-1`` this is the Möbius transform (worths to dividends), with
-    ``sign=+1`` the zeta transform (dividends to worths). Returns ``(f, d)``
-    where ``f[m] / d`` is the result for bitmask m and ``f[0] == 0``.
+    In place on a copy and bit by bit, ``f[m] += sign * f[m without the
+    bit]`` runs on every mask holding the bit: O(2^n * n) integer
+    operations. With ``sign=-1`` this is the Möbius transform (worths to
+    dividends), with ``sign=+1`` the zeta transform (dividends to worths).
+    Entry 0 is the empty coalition's and stays what it was (0 for a game).
     """
-    scaled, den = clear_denominators(values)
-    f = [0, *scaled]
+    f = list(values)
     op = sub if sign < 0 else add
     size = 1 << n
     for i in range(n):
@@ -251,37 +300,37 @@ def integer_subset_transform(values: Sequence[Fraction], n: int, sign: int) -> t
             for lo in range(0, size, span):
                 hi = lo + step
                 f[hi:hi + step] = map(op, f[hi:hi + step], f[lo:hi])
-    return f, den
+    return f
 
 
 def dividends(game: Game) -> DividendVector:
     """Invert the subset-sum relation between worths and unanimity coordinates.
 
-    Runs `integer_subset_transform` with ``sign=-1``: the worths are scaled
-    to integers by the lcm of their denominators, the fast subset transform
-    runs on those integers, and each dividend becomes a reduced `Fraction`
-    only at the end.
+    Runs `integer_subset_transform` with ``sign=-1`` on the game's integer
+    worths; each dividend becomes a reduced `Fraction` over the game's
+    denominator only at the end.
     """
-    h, den = integer_subset_transform(game.worths, game.n, -1)
-    return DividendVector(game.n, _as_fractions(h[1:], den))
+    h = integer_subset_transform(game.scaled, game.n, -1)
+    return DividendVector(game.n, _as_fractions(h[1:], game.den))
 
 
 def from_dividends(d: DividendVector) -> Game:
     """Rebuild the worth vector: each coalition sums the dividends of its subsets.
 
-    Runs the same `integer_subset_transform` as `dividends`, with
-    ``sign=+1``.
+    The dividends are scaled to integers by the lcm of their denominators
+    and run through the same `integer_subset_transform` as `dividends`,
+    with ``sign=+1``; the integers become the game directly.
     """
-    f, den = integer_subset_transform(d.dividends, d.n, +1)
-    return Game(d.n, _as_fractions(f[1:], den))
+    scaled, den = clear_denominators(d.dividends)
+    return Game._from_scaled(d.n, integer_subset_transform([0, *scaled], d.n, +1), den)
 
 
 def harsanyi_inner(g: Game, h: Game) -> Fraction:
     """Dot product of dividend coordinates; unanimity games are orthonormal in it."""
     _require_same_n(g.n, h.n)
-    dg, den_g = integer_subset_transform(g.worths, g.n, -1)
-    dh, den_h = integer_subset_transform(h.worths, h.n, -1)
-    return Fraction(sum(map(mul, dg, dh)), den_g * den_h)
+    dg = integer_subset_transform(g.scaled, g.n, -1)
+    dh = integer_subset_transform(h.scaled, h.n, -1)
+    return Fraction(sum(map(mul, dg, dh)), g.den * h.den)
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,21 @@ from __future__ import annotations
 import re
 
 MIN_PLAYERS = 2
-MAX_PLAYERS = 30  # games, bases and general maps: 2^n - 1 entries each
+MAX_PLAYERS = 30  # games, bases and general maps: 2^n - 1 entries each; games also meet the budget below
 MAX_CLOSED_FORM_PLAYERS = 64  # symmetric profiles, projections, per-size decompositions, fits
 MAX_TABULATE_PLAYERS = 20
 MAX_TREND_PLAYERS = 30
+
+#: Memory budget, in bytes, for one game and the working lists of the
+#: kernels that read it. A game on n players is refused before any of its
+#: 2^n entries is allocated when ``_GAME_BYTES_PER_COALITION << n`` exceeds
+#: it; with 1 GiB the largest game has 24 players.
+GAME_MEMORY_BUDGET = 1 << 30
+
+# Bytes charged per coalition. `valuegeom eval` on sparse games peaked at
+# 26, 35 and 53 MB for n = 18, 19 and 20: 36 bytes per added coalition over
+# the interpreter's own ~17 MB, rounded up for worths wider than small ints.
+_GAME_BYTES_PER_COALITION = 64
 
 #: Largest player count for random basis generation; a basis has
 #: (2^n - 1)^2 rational coefficients, which grows fast.
@@ -51,11 +62,28 @@ def _require(n: int, high: int, what: str = "player count", low: int = MIN_PLAYE
         raise error(f"{what} must be in [{low}, {high}], got {n}")
 
 
+def _require_game_size(n: int, error=ValueError) -> None:
+    """Raise ``error`` unless n is a valid player count whose game fits `GAME_MEMORY_BUDGET`."""
+    _require(n, MAX_PLAYERS, error=error)
+    need = _GAME_BYTES_PER_COALITION << n
+    if need > GAME_MEMORY_BUDGET:
+        raise error(
+            f"a game on {n} players needs about {need >> 20} MiB, "
+            f"beyond the game memory budget GAME_MEMORY_BUDGET of {GAME_MEMORY_BUDGET >> 20} MiB"
+        )
+
+
 def _excerpt(value) -> str:
-    """``repr(value)``, or its first characters and its length when it is long."""
+    """``repr(value)``, or its first characters and its length when it is long.
+
+    A long integer keeps its leading digits unquoted, followed by its digit
+    count, so it does not read like a string.
+    """
     text = value if isinstance(value, str) else repr(value)
     if len(text) <= _EXCERPT_CHARS:
         return repr(value)
+    if isinstance(value, int):
+        return f"{text[:_EXCERPT_CHARS]}… ({len(text.lstrip('-'))} digits)"
     return f"{text[:_EXCERPT_CHARS] + '…'!r} ({len(text)} characters)"
 
 

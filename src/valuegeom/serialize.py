@@ -1,12 +1,15 @@
 """JSON encoding of exact rationals and the game input format.
 
-`game_from_json` reads a game in one pass over the coalition entries. Each
-entry's player list becomes a validated bitmask (`games._coalition_bits`)
-without building a `Coalition`, and each distinct string worth literal is
-parsed once per document: a table local to the call, keyed by the literal
-string, hands the same immutable `Fraction` to every entry that repeats it.
-JSON numbers are read exactly from their decimal text as the JSON parser
-meets them.
+`game_from_json` builds the game's integer worths over one denominator
+(see `games.Game`) straight from the parsed document. After `json.loads`,
+every entry is checked in bulk, one C-level pass over all entries per
+check: the entry and player types, each player's bit, repeated players,
+empty and duplicate coalitions, and a present worth. Each distinct
+worth literal is then parsed once, one lcm over the distinct denominators
+scales each literal once, and the integers are scattered by bitmask. JSON
+numbers are read exactly from their decimal text as the JSON parser meets
+them and take the same path. When any bulk check fails, a per-entry loop
+runs only to raise the first error in entry order; it never builds a game.
 """
 
 from __future__ import annotations
@@ -14,10 +17,17 @@ from __future__ import annotations
 import json
 import sys
 from fractions import Fraction
-from typing import Any
+from itertools import chain, repeat
+from math import lcm
+from operator import countOf, eq
+from typing import Any, NoReturn
 
-from .games import Coalition, Game, _coalition_bits
-from .limits import MAX_PLAYERS, _check_exponent, _excerpt, _require
+from .combinatorics import _check
+from .games import _PLAYER_BITS, Coalition, Game, _coalition_bits
+from .limits import _check_exponent, _excerpt, _require_game_size
+
+#: The worth types `parse_rational` reads (a JSON number arrives as a `Fraction`).
+_LITERAL_TYPES = frozenset((str, int, Fraction))
 
 
 class GameInputError(ValueError):
@@ -25,8 +35,20 @@ class GameInputError(ValueError):
 
 
 def rational_to_json(x: Fraction) -> dict[str, Any]:
-    """Encode a rational as decimal numerator/denominator strings plus a float."""
-    return {"num": str(x.numerator), "den": str(x.denominator), "approx": float(x)}
+    """Encode a rational as decimal numerator/denominator strings plus a float.
+
+    Raises `OverflowError` saying so when only the ``approx`` float
+    overflows; the exact value itself is never in doubt.
+    """
+    try:
+        approx = float(x)
+    except OverflowError:
+        bits = abs(x.numerator).bit_length() - x.denominator.bit_length()
+        raise OverflowError(
+            "the exact result is fine, but its JSON 'approx' float overflowed: "
+            f"the value is about 2^{bits}, beyond the largest float (about 2^1024)"
+        ) from None
+    return {"num": str(x.numerator), "den": str(x.denominator), "approx": approx}
 
 
 def fraction_str(x: Fraction) -> str:
@@ -71,13 +93,14 @@ def game_from_json(text: str) -> Game:
     converted exactly from their decimal form. Listing the same coalition
     twice is an error. Players are JSON integers; ``true``/``false`` are
     refused. A worth whose decimal exponent exceeds `MAX_WORTH_EXPONENT` in
-    absolute value is refused before it is expanded.
+    absolute value is refused before it is expanded. A player count whose
+    game would exceed `GAME_MEMORY_BUDGET` is refused before any per-coalition
+    list is built.
 
-    One pass over the entries: each player list becomes a validated bitmask
-    and is checked against the masks already seen; each string worth
-    literal is parsed the first time this document uses it and looked up in
-    a per-call table after that, so entries that repeat a literal share one
-    `Fraction`. Nothing is kept between calls.
+    The entries are checked in bulk (see `_scaled_worths`) and become the
+    game's integer worths over one denominator. When a bulk check fails,
+    `_raise_first_entry_error` walks the entries in order to name the first
+    fault.
     """
     try:
         # parse_float receives the raw literal, so decimals convert exactly
@@ -100,12 +123,63 @@ def game_from_json(text: str) -> Game:
     entries = data.get("coalitions", [])
     if not isinstance(entries, list):
         raise GameInputError("field 'coalitions' must be a list")
-    _require(n, MAX_PLAYERS, error=GameInputError)
-    worths = [Fraction(0)] * ((1 << n) - 1)
+    _require_game_size(n, error=GameInputError)
+    parsed = _scaled_worths(entries, n)
+    if parsed is None:
+        _raise_first_entry_error(entries, n)
+    return Game._from_scaled(n, *parsed)
+
+
+def _scaled_worths(entries: list, n: int) -> tuple[list[int], int] | None:
+    """The integer worths, one per bitmask, and their denominator; ``None`` if any entry is malformed.
+
+    Each check is one pass in C over all entries: every entry is a dict
+    whose ``players`` is a list of exact ints, each a key of
+    ``_PLAYER_BITS[n]``; each mask has as many bits as its list has
+    players, so none is listed twice; the masks are nonzero and distinct;
+    every entry has a ``worth`` of a type `parse_rational` reads. Then each
+    distinct worth literal is parsed once, one lcm over their denominators
+    scales each literal once, and the integers are scattered by mask.
+    """
+    count = len(entries)
+    if countOf(map(type, entries), dict) != count:
+        return None
+    players = list(map(dict.get, entries, repeat("players")))
+    if countOf(map(type, players), list) != count:
+        return None
+    if countOf(map(type, chain.from_iterable(players)), int) != sum(map(len, players)):
+        return None
+    try:
+        masks = list(map(sum, map(map, repeat(_PLAYER_BITS[n].__getitem__), players)))
+    except KeyError:
+        return None
+    if not all(map(eq, map(int.bit_count, masks), map(len, players))):
+        return None
+    distinct = set(masks)
+    if len(distinct) != count or 0 in distinct:
+        return None
+    if not all(map(dict.__contains__, entries, repeat("worth"))):
+        return None
+    literals = list(map(dict.__getitem__, entries, repeat("worth")))
+    # A bool would share a table key with 1 or 0, so it is refused here and
+    # named by the entry loop.
+    if not set(map(type, literals)) <= _LITERAL_TYPES:
+        return None
+    try:
+        values = {literal: parse_rational(literal) for literal in set(literals)}
+    except GameInputError:
+        return None
+    den = lcm(*{v.denominator for v in values.values()})
+    scaled_literal = {literal: v.numerator * (den // v.denominator) for literal, v in values.items()}
+    scaled = [0] * (1 << n)
+    for mask, x in zip(masks, map(scaled_literal.__getitem__, literals)):
+        scaled[mask] = x
+    return scaled, den
+
+
+def _raise_first_entry_error(entries: list, n: int) -> NoReturn:
+    """Raise the `GameInputError` of the first malformed entry, in entry order."""
     seen: set[int] = set()
-    # Keyed by str only: true, 1 and "1" are equal as dict keys but must not
-    # share an entry.
-    literals: dict[str, Fraction] = {}
     for k, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise GameInputError(f"coalition entry {k} must be an object")
@@ -123,15 +197,8 @@ def game_from_json(text: str) -> Game:
         seen.add(bits)
         if "worth" not in entry:
             raise GameInputError(f"coalition entry {k} needs a 'worth'")
-        worth = entry["worth"]
-        if type(worth) is str:
-            value = literals.get(worth)
-            if value is None:
-                value = literals[worth] = parse_rational(worth)
-        else:
-            value = parse_rational(worth)
-        worths[bits - 1] = value
-    return Game(n, tuple(worths))
+        parse_rational(entry["worth"])
+    _check(False, "game parser: a bulk entry check failed, but every entry is well formed")
 
 
 def load_game(path: str) -> Game:

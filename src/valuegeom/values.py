@@ -12,9 +12,11 @@ interpolating Shapley and equal division.
 symmetric map pays each player a weighted sum of worths whose weight depends
 only on the coalition size and on whether the player belongs to it;
 `worth_weights` derives those per-size weights from ``alpha`` and ``beta``,
-and the sum over worths runs on integers after one lcm scaling.
-`GeneralLinearValueMap.apply` has no such symmetry and goes through the
-integer dividends of `games.integer_subset_transform`.
+and the sum runs over the game's stored integer worths after one lcm
+scaling of the weights. `GeneralLinearValueMap.apply` has no such symmetry
+and goes through the integer dividends of `games.integer_subset_transform`,
+computed from the same stored integers. Neither converts a worth to a
+`Fraction`.
 """
 
 from __future__ import annotations
@@ -197,10 +199,10 @@ def evaluate(profile: SymmetricValueProfile, game: Game) -> PayoffVector:
 
     Player i receives ``base + sum over S containing i of v(S) * diff[|S|]``
     with ``base = sum over all S of v(S) * w_out[|S|]`` and ``diff = w_in -
-    w_out`` (see `worth_weights`). Worths and weights are each scaled to
-    integers by one lcm, so the pass over the 2^n - 1 worths is integer
-    arithmetic and only the n payoffs become `Fraction`s; no dividend is
-    computed.
+    w_out`` (see `worth_weights`). The weights are scaled to integers by
+    one lcm and the game already holds its worths as integers over one
+    denominator, so the pass over the 2^n worths is integer arithmetic and
+    only the n payoffs become `Fraction`s; no dividend is computed.
     """
     _require_same_n(profile.n, game.n)
     n = game.n
@@ -209,9 +211,8 @@ def evaluate(profile: SymmetricValueProfile, game: Game) -> PayoffVector:
     diff = (a - b for a, b in zip(w_in, w_out))
     weights, weight_den = clear_denominators((_ZERO, *w_out, _ZERO, *diff))
     base_w, diff_w = weights[:n + 1], weights[n + 1:]
-    worths, worth_den = clear_denominators(game.worths)
-    worths.insert(0, 0)
-    sizes = [m.bit_count() for m in range(1 << n)]
+    worths = game.scaled
+    sizes = list(map(int.bit_count, range(1 << n)))
     base = sum(map(mul, worths, map(base_w.__getitem__, sizes)))
     # Halve the mask range one top bit at a time: the upper half is every
     # coalition holding that player; folding it onto the lower half keeps
@@ -222,7 +223,7 @@ def evaluate(profile: SymmetricValueProfile, game: Game) -> PayoffVector:
         half = 1 << i
         member[i] = sum(f[half:])
         f = list(map(add, f[:half], f[half:]))
-    den = worth_den * weight_den
+    den = game.den * weight_den
     return tuple(Fraction(base + m, den) for m in member)
 
 
@@ -257,18 +258,18 @@ class GeneralLinearValueMap(VectorOps):
     def apply(self, game: Game) -> PayoffVector:
         """Evaluate on an arbitrary game by expanding it in dividends.
 
-        The dividends come from the integer subset transform, and each
-        player's column of unanimity payoffs is scaled to integers by its
-        own lcm, so every payoff is one integer dot product over one
-        denominator.
+        The dividends come from the integer subset transform of the
+        game's integer worths, and each player's column of unanimity
+        payoffs is scaled to integers by its own lcm, so every payoff is
+        one integer dot product over one denominator.
         """
         _require_same_n(self.n, game.n)
-        divs, den = integer_subset_transform(game.worths, self.n, -1)
+        divs = integer_subset_transform(game.scaled, self.n, -1)
         del divs[0]
         payoff = []
         for column in zip(*self.actions):
             scaled, column_den = clear_denominators(column)
-            payoff.append(Fraction(sum(map(mul, divs, scaled)), den * column_den))
+            payoff.append(Fraction(sum(map(mul, divs, scaled)), game.den * column_den))
         return tuple(payoff)
 
 
