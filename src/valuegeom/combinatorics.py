@@ -4,13 +4,20 @@ Each quantity that admits more than one closed form is evaluated through all
 of them and the results are checked equal, so a regression in any one
 formula fails loudly. The checks raise `ConsistencyError`, not ``assert``,
 so they run under ``python -O`` too.
+
+Every finite sum here, each solidarity form included, brings its terms to
+the lcm of their denominators and adds integers; only the total becomes a
+`Fraction`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from itertools import repeat
+from math import comb, lcm
+from operator import mul
+from typing import Iterable
 
 from .limits import MAX_CLOSED_FORM_PLAYERS, _require
 
@@ -25,14 +32,18 @@ def _check(ok: bool, what: str) -> None:
         raise ConsistencyError(what)
 
 
+def _ratio_sum(nums: Iterable[int], dens: Iterable[int]) -> Fraction:
+    """The sum of ``nums[k] / dens[k]``, as integers over the lcm of the denominators."""
+    dens = list(dens)
+    common = lcm(*dens)
+    return Fraction(sum(map(mul, nums, [common // d for d in dens])), common)
+
+
 @lru_cache(maxsize=None)
 def harmonic_number(n: int) -> Fraction:
     """Sum of 1/j for j = 1..n."""
     _require(n, MAX_CLOSED_FORM_PLAYERS, "index", low=1)
-    total = Fraction(0)
-    for j in range(1, n + 1):
-        total += Fraction(1, j)
-    return total
+    return _ratio_sum(repeat(1), range(1, n + 1))
 
 
 @lru_cache(maxsize=None)
@@ -43,12 +54,9 @@ def binomial_harmonic_sum(n: int) -> Fraction:
     sum(2^j / j) - sum(1 / j); the two must agree exactly.
     """
     _require(n, MAX_CLOSED_FORM_PLAYERS, "index", low=1)
-    direct = Fraction(0)
-    for a in range(1, n + 1):
-        direct += Fraction(comb(n, a), a)
-    powers = Fraction(0)
-    for j in range(1, n + 1):
-        powers += Fraction(1 << j, j)
+    sizes = range(1, n + 1)
+    direct = _ratio_sum((comb(n, a) for a in sizes), sizes)
+    powers = _ratio_sum((1 << j for j in sizes), sizes)
     _check(direct == powers - harmonic_number(n), "binomial harmonic sum: direct sum vs power form")
     return direct
 
@@ -61,9 +69,8 @@ def axis_norm_sq(n: int) -> Fraction:
     binomial_harmonic_sum(n) - (2^n - 1)/n; both are computed and compared.
     """
     _require(n, MAX_CLOSED_FORM_PLAYERS)
-    via_sum = Fraction(0)
-    for a in range(1, n + 1):
-        via_sum += comb(n, a) * (Fraction(1, a) - Fraction(1, n))
+    sizes = range(1, n + 1)
+    via_sum = _ratio_sum((comb(n, a) * (n - a) for a in sizes), (a * n for a in sizes))
     via_h = binomial_harmonic_sum(n) - Fraction((1 << n) - 1, n)
     _check(via_sum == via_h, "axis norm: per-size sum vs binomial harmonic form")
     return via_sum
@@ -78,9 +85,7 @@ def power_harmonic_sum(n: int) -> Fraction:
     is checked on every call.
     """
     _require(n, MAX_CLOSED_FORM_PLAYERS, "index", low=1)
-    total = Fraction(0)
-    for j in range(1, n):
-        total += Fraction(1 << j, j)
+    total = _ratio_sum((1 << j for j in range(1, n)), range(1, n))
     if n >= 2:
         _check(axis_norm_sq(n) == total + Fraction(1, n) - harmonic_number(n), "axis norm vs power harmonic sum")
     return total
@@ -95,22 +100,14 @@ def solidarity_stratum_epsilon(a: int, n: int) -> Fraction:
     """
     _require(n, MAX_CLOSED_FORM_PLAYERS)
     _require(a, n - 1, "size", low=1)
+    upper = range(a + 1, n + 1)
+    c = comb(n - 1, a)
 
-    direct = Fraction(0)
-    for s in range(a + 1, n + 1):
-        direct += Fraction(comb(n - a - 1, s - a - 1), s * comb(n - 1, s - 1))
-    direct *= a
-
-    ratio = Fraction(a, comb(n - 1, a))
-    binom = Fraction(0)
-    for s in range(a + 1, n + 1):
-        binom += Fraction(comb(s - 1, a), s)
-    binom *= ratio
-
-    tail = Fraction(0)
-    for s in range(a + 1, n):
-        tail += Fraction(comb(s, a + 1), s * (s + 1))
-    abel = Fraction(a, a + 1) + ratio * tail
+    direct = _ratio_sum([a * comb(n - a - 1, s - a - 1) for s in upper], [s * comb(n - 1, s - 1) for s in upper])
+    binom = _ratio_sum([a * comb(s - 1, a) for s in upper], [s * c for s in upper])
+    # a / (a + 1), then the tail over s = a+1..n-1 scaled by a / C(n-1, a)
+    tail = range(a + 1, n)
+    abel = _ratio_sum([a, *(a * comb(s, a + 1) for s in tail)], [a + 1, *(c * s * (s + 1) for s in tail)])
 
     _check(direct == binom == abel, "solidarity mix: direct, binomial and Abel sums")
     if a == 1:

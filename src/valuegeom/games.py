@@ -17,9 +17,9 @@ values can be shared freely across threads.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import islice
 from math import gcd, lcm
 from operator import add, mul, neg, sub
@@ -54,23 +54,35 @@ def _require_coalition_count(items: Sequence, n: int, what: str) -> None:
         raise ValueError(f"expected {expected} {what} for n={n}, got {len(items)}")
 
 
-def _pointwise(op: Callable, *vectors: tuple) -> tuple:
-    """``op`` entry by entry across equal-shape tuples, recursing into nested ones."""
-    if vectors[0] and isinstance(vectors[0][0], tuple):
-        return tuple(_pointwise(op, *rows) for rows in zip(*vectors))
-    return tuple(map(op, *vectors))
-
-
 class VectorOps:
-    """Pointwise ``+``, ``-``, scalar ``*`` and unary ``-`` for frozen dataclasses
-    whose first field is ``n`` and whose other fields are (nested) tuples of
-    rationals; each operation builds a new instance of the same class.
-    `Game` overrides `_combine` and ``__rmul__`` to work on its integers."""
+    """``+``, ``-``, scalar ``*`` and unary ``-`` for frozen dataclasses that
+    store ``n``, a tuple of integers ``scaled`` and one positive ``den``
+    sharing no factor with all of them. The operands are brought to one
+    denominator and combined as integers; each result is reduced again."""
+
+    @classmethod
+    def _from_scaled(cls, n: int, scaled: Iterable[int], den: int):
+        """The instance holding ``scaled`` over ``den``, for ``den > 0`` sharing no factor with all entries.
+
+        `clear_denominators` of reduced fractions guarantees that, and so
+        does the subset transform (its inverse has integer coefficients);
+        other integer constructions go through `_reduced`.
+        """
+        obj = cls.__new__(cls)
+        obj._store(n, scaled, den)
+        return obj
+
+    def _store(self, n: int, scaled: Iterable[int], den: int) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "scaled", tuple(scaled))
+        object.__setattr__(self, "den", den)
 
     def _combine(self, op: Callable, *others):
+        """``op`` on the integers of all operands brought to one denominator (``+``, ``-``, unary ``-``)."""
         _require_same_n(self.n, *(o.n for o in others))
-        parts = [[getattr(x, f.name) for x in (self, *others)] for f in fields(self)[1:]]
-        return type(self)(self.n, *(_pointwise(op, *vectors) for vectors in parts))
+        den = lcm(self.den, *(o.den for o in others))
+        columns = (x.scaled if x.den == den else [v * (den // x.den) for v in x.scaled] for x in (self, *others))
+        return self._from_scaled(self.n, *_reduced(list(map(op, *columns)), den))
 
     def __add__(self, other):
         return self._combine(add, other)
@@ -79,10 +91,19 @@ class VectorOps:
         return self._combine(sub, other)
 
     def __rmul__(self, scalar):
-        return self._combine(partial(mul, Fraction(scalar)))
+        s = Fraction(scalar)
+        return self._from_scaled(self.n, *_reduced([x * s.numerator for x in self.scaled], self.den * s.denominator))
 
     def __neg__(self):
         return self._combine(neg)
+
+
+def _reduced(scaled: list[int], den: int) -> tuple[list[int], int]:
+    """``scaled`` and ``den`` divided by their greatest common divisor."""
+    common = gcd(den, *scaled)
+    if common == 1:
+        return scaled, den
+    return [x // common for x in scaled], den // common
 
 
 #: For each valid player count n, the bit of each player index 0..n-1. Only
@@ -177,26 +198,6 @@ class Game(VectorOps):
         self._store(n, [0, *scaled], den)
 
     @classmethod
-    def _from_scaled(cls, n: int, scaled: Iterable[int], den: int) -> "Game":
-        """The game worth ``scaled[m] / den`` on each bitmask m, for 2^n integers with ``scaled[0] == 0``.
-
-        The caller guarantees ``den > 0`` and that ``den`` and the entries
-        share no common factor. `clear_denominators` of reduced fractions
-        guarantees it: for each prime, the denominator holding its highest
-        power leaves the prime out of its own scaled numerator. The subset
-        transform keeps it, since its inverse has integer coefficients too.
-        Sums and scalings of games need `_reduced`.
-        """
-        game = cls.__new__(cls)
-        game._store(n, scaled, den)
-        return game
-
-    def _store(self, n: int, scaled: Iterable[int], den: int) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "scaled", tuple(scaled))
-        object.__setattr__(self, "den", den)
-
-    @classmethod
     def zero(cls, n: int) -> "Game":
         _require_game_size(n)
         return cls._from_scaled(n, [0] * (1 << n), 1)
@@ -215,25 +216,6 @@ class Game(VectorOps):
 
     def worth(self, bits: int) -> Fraction:
         return self.worths[bits - 1] if bits else _ZERO
-
-    def _combine(self, op: Callable, *others: "Game") -> "Game":
-        """``op`` on the integers of all games brought to one denominator (``+``, ``-``, unary ``-``)."""
-        _require_same_n(self.n, *(g.n for g in others))
-        den = lcm(self.den, *(g.den for g in others))
-        columns = (g.scaled if g.den == den else [x * (den // g.den) for x in g.scaled] for g in (self, *others))
-        return Game._from_scaled(self.n, *_reduced(list(map(op, *columns)), den))
-
-    def __rmul__(self, scalar) -> "Game":
-        s = Fraction(scalar)
-        return Game._from_scaled(self.n, *_reduced([x * s.numerator for x in self.scaled], self.den * s.denominator))
-
-
-def _reduced(scaled: list[int], den: int) -> tuple[list[int], int]:
-    """``scaled`` and ``den`` divided by their greatest common divisor."""
-    common = gcd(den, *scaled)
-    if common == 1:
-        return scaled, den
-    return [x // common for x in scaled], den // common
 
 
 @dataclass(frozen=True)

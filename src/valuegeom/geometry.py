@@ -2,7 +2,8 @@
 
 The inner product sums, over all unanimity games, the Euclidean pairing of
 the two maps' payoff vectors. On symmetric profiles this collapses to an
-O(n) sum over coalition sizes.
+O(n) sum over coalition sizes, which `inner_L` runs on the profiles'
+integers, so a projection builds a `Fraction` only per reported scalar.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .values import (
     named_profile,
 )
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -31,21 +31,27 @@ def inner_L(p: SymmetricValueProfile, q: SymmetricValueProfile) -> Fraction:
     """
     _require_same_n(p.n, q.n)
     n = p.n
-    total = _ZERO
+    x, y = p.scaled, q.scaled
+    total = n * x[n - 1] * y[n - 1]
     for a in range(1, n):
-        term = a * p.alpha[a - 1] * q.alpha[a - 1] + (n - a) * p.beta[a - 1] * q.beta[a - 1]
+        term = a * x[a - 1] * y[a - 1] + (n - a) * x[n + a - 1] * y[n + a - 1]
         if term:
             total += comb(n, a) * term
-    total += n * p.alpha[n - 1] * q.alpha[n - 1]
-    return total
+    return Fraction(total, p.den * q.den)
+
+
+def _line_fit(target: SymmetricValueProfile) -> tuple[SymmetricValueProfile, Fraction, Fraction]:
+    """``target - sh``, the optimal mixing parameter, and the squared norm of the line's direction."""
+    n = target.n
+    sh = named_profile("sh", n)
+    norm = axis_norm_sq(n)
+    diff = target - sh
+    return diff, inner_L(named_profile("ed", n) - sh, diff) / norm, norm
 
 
 def optimal_epsilon(target: SymmetricValueProfile) -> Fraction:
     """Mixing parameter of the closest point on the Shapley-to-equal-division line."""
-    n = target.n
-    sh = named_profile("sh", n)
-    axis = named_profile("ed", n) - sh
-    return inner_L(axis, target - sh) / axis_norm_sq(n)
+    return _line_fit(target)[1]
 
 
 def banzhaf_optimal_epsilon(n: int) -> Fraction:
@@ -91,11 +97,9 @@ def projection_report(target: SymmetricValueProfile, name: str = "") -> Projecti
     dist_sq == proj_sq + resid_sq is a genuine cross-check for callers.
     """
     n = target.n
-    sh = named_profile("sh", n)
-    diff = target - sh
-    eps = optimal_epsilon(target)
+    diff, eps, norm = _line_fit(target)
     dist_sq = inner_L(diff, diff)
-    proj_sq = eps * eps * axis_norm_sq(n)
+    proj_sq = eps * eps * norm
     resid = target - egalitarian_shapley(eps, n)
     resid_sq = inner_L(resid, resid)
     at_shapley = dist_sq == 0

@@ -7,6 +7,7 @@ the range check runs on every profile operation.
 
 from __future__ import annotations
 
+import math
 import re
 
 MIN_PLAYERS = 2
@@ -55,6 +56,8 @@ _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 #: How many characters of an offending value an error message repeats.
 _EXCERPT_CHARS = 40
 
+_LOG10_2 = math.log10(2)
+
 
 def _require(n: int, high: int, what: str = "player count", low: int = MIN_PLAYERS, error=ValueError) -> None:
     """Raise ``error`` naming ``what`` unless ``low <= n <= high``."""
@@ -77,14 +80,29 @@ def _excerpt(value) -> str:
     """``repr(value)``, or its first characters and its length when it is long.
 
     A long integer keeps its leading digits unquoted, followed by its digit
-    count, so it does not read like a string.
+    count, so it does not read like a string. Neither is found through
+    ``str``, which refuses ints beyond CPython's digit limit.
     """
+    if isinstance(value, int) and not isinstance(value, bool):
+        magnitude = abs(value)
+        digits = _digit_count(magnitude)
+        keep = _EXCERPT_CHARS - (value < 0)
+        if digits <= keep:
+            return repr(value)
+        leading = magnitude // 10 ** (digits - keep)
+        return f"{'-' * (value < 0)}{leading}… ({digits} digits)"
     text = value if isinstance(value, str) else repr(value)
     if len(text) <= _EXCERPT_CHARS:
         return repr(value)
-    if isinstance(value, int):
-        return f"{text[:_EXCERPT_CHARS]}… ({len(text.lstrip('-'))} digits)"
     return f"{text[:_EXCERPT_CHARS] + '…'!r} ({len(text)} characters)"
+
+
+def _digit_count(m: int) -> int:
+    """The number of decimal digits of ``m >= 0``, from its bit length and one or two powers of ten."""
+    digits = max(1, int((m.bit_length() - 1) * _LOG10_2) + 1)
+    if digits > 1 and m < 10 ** (digits - 1):
+        return digits - 1
+    return digits + (m >= 10 ** digits)
 
 
 def _check_exponent(literal: str, what: str, error=ValueError) -> None:

@@ -8,6 +8,10 @@ distributes the full worth at that size). Under explicit per-size weights,
 the optimal global mixing parameter is the weighted mean of the per-size
 coefficients and the goodness of fit is one minus their relative weighted
 variance.
+
+The coefficients are read off the profile's integers, one `Fraction` each;
+the weights, moments and per-size breakdown each sum integers over one
+denominator.
 """
 
 from __future__ import annotations
@@ -15,16 +19,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from operator import mul
 from typing import NamedTuple, Sequence
 
-from .combinatorics import _check, axis_norm_sq
+from .combinatorics import _check, _ratio_sum, axis_norm_sq
 from .games import _require_same_n
 from .geometry import inner_L
 from .limits import MAX_CLOSED_FORM_PLAYERS, _require
 from .values import SymmetricValueProfile, named_profile
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+def _fraction_sum(values: Sequence[Fraction]) -> Fraction:
+    """The sum of reduced fractions, as integers over the lcm of their denominators."""
+    return _ratio_sum([x.numerator for x in values], [x.denominator for x in values])
 
 
 @dataclass(frozen=True)
@@ -91,21 +100,15 @@ def stratified_coords(target: SymmetricValueProfile) -> StratifiedCoordinates:
 
     At each size a < n: delta_a = (a * alpha_a + (n-a) * beta_a - 1) / n is
     the coefficient along the all-ones direction, and
-    eps_a = n * (beta_a - delta_a) is the coefficient along the
-    equal-division direction once the uniform part is removed. For an
-    efficient target this reduces to eps_a = n * beta_a.
+    eps_a = n * (beta_a - delta_a) = 1 - a * (alpha_a - beta_a) is the
+    coefficient along the equal-division direction once the uniform part is
+    removed. For an efficient target this reduces to eps_a = n * beta_a.
     """
-    n = target.n
-    eps: list[Fraction] = []
-    delta: list[Fraction] = []
-    for a in range(1, n):
-        al = target.alpha[a - 1]
-        be = target.beta[a - 1]
-        d = Fraction(a * al + (n - a) * be - 1, n)
-        eps.append(n * (be - d))
-        delta.append(d)
-    top = n * (target.alpha[n - 1] - Fraction(1, n)) ** 2
-    return StratifiedCoordinates(n, tuple(eps), tuple(delta), top)
+    n, x, den = target.n, target.scaled, target.den
+    eps = tuple(Fraction(den - a * (x[a - 1] - x[n + a - 1]), den) for a in range(1, n))
+    delta = tuple(Fraction(a * x[a - 1] + (n - a) * x[n + a - 1] - den, n * den) for a in range(1, n))
+    top = Fraction((n * x[n - 1] - den) ** 2, n * den * den)
+    return StratifiedCoordinates(n, eps, delta, top)
 
 
 def reconstruct(eps: Sequence[Fraction], n: int) -> SymmetricValueProfile:
@@ -117,14 +120,9 @@ def reconstruct(eps: Sequence[Fraction], n: int) -> SymmetricValueProfile:
     """
     if len(eps) != n - 1:
         raise ValueError(f"expected {n - 1} coefficients, got {len(eps)}")
-    alpha: list[Fraction] = []
-    beta: list[Fraction] = []
-    for a, e in enumerate(eps, start=1):
-        e = Fraction(e)
-        alpha.append((1 - e) / a + e / n)
-        beta.append(e / n)
-    alpha.append(Fraction(1, n))
-    return SymmetricValueProfile(n, tuple(alpha), tuple(beta))
+    eps = [Fraction(e) for e in eps]
+    alpha = [(1 - e) / a + e / n for a, e in enumerate(eps, start=1)]
+    return SymmetricValueProfile(n, [*alpha, Fraction(1, n)], [e / n for e in eps])
 
 
 def weights(n: int) -> StratumWeights:
@@ -134,19 +132,18 @@ def weights(n: int) -> StratumWeights:
     probability distribution on sizes 1..n-1.
     """
     dn = axis_norm_sq(n)
-    w = tuple(comb(n, a) * (Fraction(1, a) - Fraction(1, n)) / dn for a in range(1, n))
-    _check(sum(w) == 1, "size weights sum to one")
+    w = tuple(Fraction(comb(n, a) * (n - a) * dn.denominator, a * n * dn.numerator) for a in range(1, n))
+    _check(_fraction_sum(w) == 1, "size weights sum to one")
     return StratumWeights(n, w)
 
 
 def weighted_moments(coords: StratifiedCoordinates, w: StratumWeights) -> Moments:
     """Weighted mean, second moment, and variance of the per-size coefficients."""
     _require_same_n(coords.n, w.n)
-    mean = _ZERO
-    second = _ZERO
-    for e, wa in zip(coords.eps, w.w):
-        mean += wa * e
-        second += wa * e * e
+    wn, wd = [x.numerator for x in w.w], [x.denominator for x in w.w]
+    en, ed = [x.numerator for x in coords.eps], [x.denominator for x in coords.eps]
+    mean = _ratio_sum(map(mul, wn, en), map(mul, wd, ed))
+    second = _ratio_sum(map(mul, wn, map(mul, en, en)), map(mul, wd, map(mul, ed, ed)))
     return Moments(mean, second, second - mean * mean)
 
 
@@ -177,11 +174,13 @@ def generalized_pythagoras(
     n = target.n
     coords = stratified_coords(target)
     eff_terms = tuple(
-        comb(n, a) * (Fraction(1, a) - Fraction(1, n)) * coords.eps[a - 1] ** 2
-        for a in range(1, n)
+        Fraction(comb(n, a) * (n - a) * e.numerator ** 2, a * n * e.denominator ** 2)
+        for a, e in enumerate(coords.eps, start=1)
     )
-    unif_terms = tuple(comb(n, a) * n * coords.delta[a - 1] ** 2 for a in range(1, n))
-    total = sum(eff_terms, _ZERO) + sum(unif_terms, _ZERO) + coords.top_dev_sq
+    unif_terms = tuple(
+        Fraction(comb(n, a) * n * d.numerator ** 2, d.denominator ** 2) for a, d in enumerate(coords.delta, start=1)
+    )
+    total = _fraction_sum((*eff_terms, *unif_terms, coords.top_dev_sq))
     diff = target - named_profile("sh", n)
     _check(total == inner_L(diff, diff), "per-size breakdown total vs inner product")
     return PythagorasBreakdown(n, eff_terms, unif_terms, coords.top_dev_sq, total)

@@ -6,7 +6,9 @@ of the generating coalition (``alpha``) and one for outsiders (``beta``),
 depending only on the coalition size. The closed-form profiles here cover
 the Shapley value, equal division, the Banzhaf value, equal surplus
 division, and the solidarity value, together with the one-parameter family
-interpolating Shapley and equal division.
+interpolating Shapley and equal division. A profile stores its coordinates
+as integers over one denominator; the closed forms build those integers
+directly, and profile sums and scalings combine them as integers.
 
 `evaluate` does not decompose the game into dividends. By linearity, a
 symmetric map pays each player a weighted sum of worths whose weight depends
@@ -21,9 +23,11 @@ computed from the same stored integers. Neither converts a worth to a
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from functools import cached_property, partial
+from math import comb, lcm
 from operator import add, mul
 from typing import Callable, Sequence
 
@@ -32,20 +36,20 @@ from .games import (
     Coalition,
     Game,
     VectorOps,
+    _reduced,
     _require_coalition_count,
     _require_same_n,
     clear_denominators,
     coalitions,
     integer_subset_transform,
 )
-from .limits import MAX_CLOSED_FORM_PLAYERS, _check_exponent, _require
+from .limits import MAX_CLOSED_FORM_PLAYERS, _check_exponent, _excerpt, _require
 
 PayoffVector = tuple[Fraction, ...]
 
 PROFILE_KINDS = ("sh", "ed", "bz", "esd", "so")
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class SymmetryViolation(ValueError):
@@ -57,7 +61,7 @@ class SymmetryViolation(ValueError):
         self.second = second
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SymmetricValueProfile(VectorOps):
     """Per-size coordinates of a symmetric linear value map.
 
@@ -65,18 +69,32 @@ class SymmetricValueProfile(VectorOps):
     coalition on its unanimity game, for a = 1..n. ``beta[a-1]`` is the
     payoff to a non-member, for a = 1..n-1 (at size n there are no
     non-members).
+
+    Stored as ``scaled`` (alpha_1..alpha_n, then beta_1..beta_(n-1)) over
+    one positive ``den`` sharing no factor with all of them, so equality and
+    hashing mean "same coordinates". The constructor takes rationals;
+    ``alpha`` and ``beta`` are `Fraction` views built on first use.
     """
 
     n: int
-    alpha: tuple[Fraction, ...]
-    beta: tuple[Fraction, ...]
+    scaled: tuple[int, ...]
+    den: int
 
-    def __post_init__(self) -> None:
-        _require(self.n, MAX_CLOSED_FORM_PLAYERS)
-        if len(self.alpha) != self.n:
-            raise ValueError(f"expected {self.n} alpha entries, got {len(self.alpha)}")
-        if len(self.beta) != self.n - 1:
-            raise ValueError(f"expected {self.n - 1} beta entries, got {len(self.beta)}")
+    def __init__(self, n: int, alpha: Sequence[Fraction], beta: Sequence[Fraction]) -> None:
+        _require(n, MAX_CLOSED_FORM_PLAYERS)
+        if len(alpha) != n:
+            raise ValueError(f"expected {n} alpha entries, got {len(alpha)}")
+        if len(beta) != n - 1:
+            raise ValueError(f"expected {n - 1} beta entries, got {len(beta)}")
+        self._store(n, *clear_denominators([Fraction(x) for x in (*alpha, *beta)]))
+
+    @cached_property
+    def alpha(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.den) for x in self.scaled[:self.n])
+
+    @cached_property
+    def beta(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.den) for x in self.scaled[self.n:])
 
     def alpha_at(self, a: int) -> Fraction:
         """Member payoff at coalition size a (1-based)."""
@@ -98,58 +116,55 @@ class SymmetricValueProfile(VectorOps):
 
     def is_efficient(self) -> bool:
         """Whether the induced map always distributes exactly the grand worth."""
-        n = self.n
-        for a in range(1, n):
-            if a * self.alpha[a - 1] + (n - a) * self.beta[a - 1] != 1:
-                return False
-        return n * self.alpha[n - 1] == 1
+        n, x, den = self.n, self.scaled, self.den
+        return n * x[n - 1] == den and all(a * x[a - 1] + (n - a) * x[n + a - 1] == den for a in range(1, n))
 
 
 def named_profile(kind: str, n: int) -> SymmetricValueProfile:
     """Closed-form profile of one of the five standard solutions.
 
     Kinds: ``sh`` Shapley, ``ed`` equal division, ``bz`` Banzhaf, ``esd``
-    equal surplus division, ``so`` solidarity.
+    equal surplus division, ``so`` solidarity. Each is built as integers:
+    ``sh`` over lcm(1..n), ``bz`` over 2^(n-1), ``ed`` and ``esd`` over n.
     """
     _require(n, MAX_CLOSED_FORM_PLAYERS)
+    zeros = [0] * (n - 1)
     if kind == "sh":
-        alpha = tuple(Fraction(1, a) for a in range(1, n + 1))
-        beta = (_ZERO,) * (n - 1)
-    elif kind == "ed":
-        share = Fraction(1, n)
-        alpha = (share,) * n
-        beta = (share,) * (n - 1)
-    elif kind == "bz":
-        alpha = tuple(Fraction(1, 1 << (a - 1)) for a in range(1, n + 1))
-        beta = (_ZERO,) * (n - 1)
-    elif kind == "esd":
-        share = Fraction(1, n)
-        alpha = (_ONE,) + (share,) * (n - 1)
-        beta = (_ZERO,) + (share,) * (n - 2)
-    elif kind == "so":
-        # Outsider payoff per size comes from the solidarity closed form;
-        # the member payoff is recovered from efficiency.
-        beta_list = [solidarity_stratum_epsilon(a, n) / n for a in range(1, n)]
-        alpha = tuple(
-            (1 - (n - a) * beta_list[a - 1]) / a if a < n else Fraction(1, n)
-            for a in range(1, n + 1)
-        )
-        beta = tuple(beta_list)
-    else:
-        raise ValueError(f"unknown value kind {kind!r}; expected one of {PROFILE_KINDS}")
-    return SymmetricValueProfile(n, alpha, beta)
+        den = lcm(*range(1, n + 1))
+        return SymmetricValueProfile._from_scaled(n, [den // a for a in range(1, n + 1)] + zeros, den)
+    if kind == "ed":
+        return SymmetricValueProfile._from_scaled(n, [1] * (2 * n - 1), n)
+    if kind == "bz":
+        return SymmetricValueProfile._from_scaled(n, [1 << (n - a) for a in range(1, n + 1)] + zeros, 1 << (n - 1))
+    if kind == "esd":
+        return SymmetricValueProfile._from_scaled(n, [n] + [1] * (n - 1) + [0] + [1] * (n - 2), n)
+    if kind == "so":
+        # Outsider payoff eps_a / n from the solidarity closed form, member
+        # payoff (1 - (n-a) eps_a / n) / a from efficiency: with eps_a =
+        # e_a / q and m = lcm(1..n), integers over n * q * m.
+        eps = [solidarity_stratum_epsilon(a, n) for a in range(1, n)]
+        q = lcm(*(x.denominator for x in eps))
+        e = [x.numerator * (q // x.denominator) for x in eps]
+        m = lcm(*range(1, n + 1))
+        alpha = [(n * q - (n - a) * e[a - 1]) * (m // a) for a in range(1, n)]
+        scaled = alpha + [q * m] + [x * m for x in e]
+        return SymmetricValueProfile._from_scaled(n, *_reduced(scaled, n * q * m))
+    raise ValueError(f"unknown value kind {kind!r}; expected one of {PROFILE_KINDS}")
 
 
 def egalitarian_shapley(eps, n: int) -> SymmetricValueProfile:
     """The mix (1 - eps) * Shapley + eps * equal division.
 
     Outsiders of a generating coalition receive exactly eps/n, for any
-    rational eps (negative and above-one values included).
+    rational eps (negative and above-one values included). With eps = p/q
+    it is built as integers over q * lcm(1..n).
     """
-    e = Fraction(eps)
-    sh = named_profile("sh", n)
-    ed = named_profile("ed", n)
-    return (1 - e) * sh + e * ed
+    p, q = Fraction(eps).as_integer_ratio()
+    _require(n, MAX_CLOSED_FORM_PLAYERS)
+    m = lcm(*range(1, n + 1))
+    share = p * (m // n)
+    alpha = [(q - p) * (m // a) + share for a in range(1, n + 1)]
+    return SymmetricValueProfile._from_scaled(n, *_reduced(alpha + [share] * (n - 1), q * m))
 
 
 def profile_for_token(token: str, n: int) -> SymmetricValueProfile:
@@ -157,13 +172,20 @@ def profile_for_token(token: str, n: int) -> SymmetricValueProfile:
     if token in PROFILE_KINDS:
         return named_profile(token, n)
     if token.startswith("f:"):
-        _check_exponent(token[2:], "mixing parameter")
+        literal = token[2:]
+        _check_exponent(literal, "mixing parameter")
         try:
-            eps = Fraction(token[2:])
+            eps = Fraction(literal)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"bad mixing parameter in token {token!r}") from exc
+            digits, limit = sum(map(str.isdigit, literal)), getattr(sys, "get_int_max_str_digits", lambda: 0)()
+            if 0 < limit < digits:
+                raise ValueError(
+                    f"mixing parameter in token {_excerpt(token)} has {digits} digits, "
+                    f"beyond Python's limit of {limit} digits for reading an integer"
+                ) from exc
+            raise ValueError(f"bad mixing parameter in token {_excerpt(token)}") from exc
         return egalitarian_shapley(eps, n)
-    raise ValueError(f"unknown value token {token!r}")
+    raise ValueError(f"unknown value token {_excerpt(token)}")
 
 
 def worth_weights(profile: SymmetricValueProfile) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
@@ -243,6 +265,15 @@ class GeneralLinearValueMap(VectorOps):
         for vec in self.actions:
             if len(vec) != self.n:
                 raise ValueError(f"payoff vectors must have length {self.n}")
+
+    def _combine(self, op: Callable, *others: "GeneralLinearValueMap") -> "GeneralLinearValueMap":
+        """``op`` entry by entry on the payoff vectors, pointwise in `Fraction`s."""
+        _require_same_n(self.n, *(o.n for o in others))
+        rows = zip(self.actions, *(o.actions for o in others))
+        return GeneralLinearValueMap(self.n, tuple(tuple(map(op, *vectors)) for vectors in rows))
+
+    def __rmul__(self, scalar) -> "GeneralLinearValueMap":
+        return self._combine(partial(mul, Fraction(scalar)))
 
     @classmethod
     def from_profile(cls, profile: SymmetricValueProfile) -> "GeneralLinearValueMap":

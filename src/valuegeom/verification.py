@@ -3,7 +3,8 @@
 Every check recomputes a published closed-form quantity from scratch and
 compares exactly (rational equality, zero tolerance) unless the check is
 explicitly about a decimal magnitude, in which case the tolerance is stated
-in its label.
+in its label and compared as an exact `Fraction` too. Floats appear only
+in the text of a failure's detail.
 """
 
 from __future__ import annotations
@@ -69,12 +70,6 @@ class CheckResult:
 def _eq(label: str, got, expected) -> CheckResult:
     ok = got == expected
     detail = "" if ok else f"got {got}, expected {expected}"
-    return CheckResult(label, ok, detail)
-
-
-def _close(label: str, got: float, expected: float, tol: float) -> CheckResult:
-    ok = abs(got - expected) <= tol
-    detail = "" if ok else f"got {got}, expected {expected} within {tol}"
     return CheckResult(label, ok, detail)
 
 
@@ -171,15 +166,16 @@ def run_all_checks() -> list[CheckResult]:
 
     for n in (20, 30):
         r2 = projection_report(named_profile("bz", n), "bz").r2
-        add(_close(f"Banzhaf fit at n={n} is within 0.05 of 1/2", float(r2), 0.5, 0.05))
+        ok = abs(r2 - F(1, 2)) <= F("0.05")
+        add(CheckResult(f"Banzhaf fit at n={n} is within 0.05 of 1/2", ok, "" if ok else f"got {float(r2)}"))
 
-    for n, magnitude in ((4, 4e-3), (12, 4e-4), (20, 9e-6)):
-        miss = float(1 - projection_report(named_profile("so", n), "so").r2)
-        ok = magnitude / 2 <= miss <= magnitude * 2
+    for n, magnitude in ((4, "0.004"), (12, "0.0004"), (20, "9e-06")):
+        miss = 1 - projection_report(named_profile("so", n), "so").r2
+        ok = F(magnitude) / 2 <= miss <= F(magnitude) * 2
         add(CheckResult(
             f"solidarity residual share at n={n} is about {magnitude} (factor 2)",
             ok,
-            "" if ok else f"got {miss}",
+            "" if ok else f"got {float(miss)}",
         ))
 
     ok = all(

@@ -313,3 +313,28 @@ def test_verify_is_identical_under_optimized_interpreter():
     lines = outputs[0].splitlines()
     assert len(lines) == 75 and all(line.startswith("PASS  ") for line in lines[:74])
     assert lines[74] == "74 checks: 74 passed, 0 failed"
+
+
+def test_mixing_parameter_beyond_the_digit_limit_is_a_short_input_error(capsys):
+    token = "f:1." + "0" * 4400 + "1"
+    code, out, err = run(capsys, ["project", "--n", "4", "--target", token])
+    assert code == 3 and out == ""
+    assert len(err.encode()) < 300 and "Traceback" not in err
+    assert err.startswith("error: input: mixing parameter in token 'f:1.000")
+    assert "has 4402 digits, beyond Python's limit of 4300 digits" in err
+    code, _, err = run(capsys, ["project", "--n", "4", "--target", "f:" + "x" * 5000])
+    assert code == 3 and len(err.encode()) < 300
+    assert err == f"error: input: bad mixing parameter in token {'f:' + 'x' * 38 + '…'!r} (5002 characters)\n"
+    code, _, err = run(capsys, ["project", "--n", "4", "--target", "y" * 5000])
+    assert code == 3 and err == f"error: input: unknown value token {'y' * 40 + '…'!r} (5000 characters)\n"
+
+
+def test_verify_compares_no_float(monkeypatch):
+    from valuegeom import verification
+
+    def no_float(x):
+        raise AssertionError("verify converted a value to float")
+
+    monkeypatch.setattr(verification, "float", no_float, raising=False)
+    results = verification.run_all_checks()
+    assert len(results) == 74 and all(r.passed for r in results)

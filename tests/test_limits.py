@@ -11,7 +11,7 @@ import pytest
 import valuegeom
 from valuegeom import Coalition, Game, GeneralLinearValueMap, named_profile, profile_for_token
 from valuegeom.cli import main
-from valuegeom.limits import MIN_PLAYERS
+from valuegeom.limits import MIN_PLAYERS, _excerpt
 
 SRC = Path(valuegeom.__file__).parent
 LIMIT_NAME = re.compile(r"MIN_\w*|\w*MAX_\w*")
@@ -123,3 +123,16 @@ def test_long_player_is_cut_in_the_error_message():
     with pytest.raises(ValueError) as info:
         Coalition.from_players([10**4000], 4)
     assert len(str(info.value)) < 120
+
+
+def test_integer_beyond_the_digit_limit_is_cut_without_conversion():
+    with pytest.raises(ValueError) as info:
+        Coalition.from_players([10**5000], 4)
+    assert str(info.value) == f"player 1{'0' * 39}… (5001 digits) out of range for n=4"
+    with pytest.raises(ValueError) as info:
+        Coalition.from_players([-7 * 10**9000 - 1], 4)
+    assert str(info.value) == f"player -7{'0' * 38}… (9001 digits) out of range for n=4"
+    for digits in (1, 39, 40, 41, 4300):
+        for value in (10 ** (digits - 1), 10 ** digits - 1):
+            assert _excerpt(value) == (repr(value) if digits <= 40 else f"{str(value)[:40]}… ({digits} digits)")
+            assert _excerpt(-value) == (repr(-value) if digits <= 39 else f"{str(-value)[:40]}… ({digits} digits)")
